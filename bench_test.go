@@ -286,33 +286,6 @@ func BenchmarkAblateUnpin(b *testing.B) {
 	}
 }
 
-// BenchmarkAblateAncestor compares the O(1) ancestor test (the fork-path
-// prefix test, on a depth-256 spine with spilled paths) against naive
-// parent walking on a deep hierarchy.
-func BenchmarkAblateAncestor(b *testing.B) {
-	tr := hierarchy.New()
-	h := tr.Root()
-	for i := 0; i < 256; i++ {
-		h = tr.Fork(h)
-	}
-	leaf := h
-	root := tr.Root()
-	for _, mode := range []struct {
-		name string
-		walk bool
-	}{{"fork-path", false}, {"parent-walk", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			tr.UseWalkAncestor = mode.walk
-			for i := 0; i < b.N; i++ {
-				if !tr.IsAncestor(root, leaf) {
-					b.Fatal("ancestry broken")
-				}
-			}
-		})
-	}
-	tr.UseWalkAncestor = false
-}
-
 // BenchmarkAblateLazyPin prices lazy pinning: the entangled read that pins
 // an object (first touch) vs subsequent entangled reads of the already
 // pinned object vs an eager-transitive alternative, approximated by the
@@ -364,8 +337,8 @@ func BenchmarkAblateLazyPin(b *testing.B) {
 // BenchmarkAblateHeapStrategy compares heap creation at every fork
 // (deterministic object-level semantics, the default) against MPL's
 // steal-time heaps (Config.LazyHeaps) on a fork-heavy benchmark: the cost
-// being amortized is hierarchy maintenance (heap structs, Euler-interval
-// inserts, merges) per Par.
+// being amortized is hierarchy maintenance (heap structs, fork paths,
+// merges) per Par.
 func BenchmarkAblateHeapStrategy(b *testing.B) {
 	bm, _ := bench.ByName("fib")
 	n := sizeOf(bm)

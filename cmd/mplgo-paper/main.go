@@ -1,7 +1,7 @@
 // Command mplgo-paper is the reproducible experiment-grid runner: it
 // reads a checked-in grid spec (scripts/paper/experiments.json), executes
-// every cell — benchmark × worker sweep × heap mode × ancestry mode ×
-// barrier ablation, with warmups and repeats — in a fresh subprocess, and
+// every cell — benchmark × worker sweep × heap mode × barrier ablation,
+// with warmups and repeats — in a fresh subprocess, and
 // writes the paper-ready artifacts into the output directory:
 //
 //	samples.csv          every repeat of every cell, raw

@@ -71,10 +71,7 @@ const (
 	// hit forces the inline→vector spill promotion of the DePa fork-path
 	// representation even though the path would fit inline, so shallow
 	// trees exercise the spilled comparison paths that otherwise need
-	// depth > 64. (The legacy order list's rebalance/exhaustion fallback
-	// needed no injection point of its own — exhaustion tests shrink the
-	// label space directly — and is unreachable on the default fork-path
-	// oracle, which has no label space at all.)
+	// depth > 64.
 	PathSpill
 	// Burst fires in the serve dispatcher's batch formation: a hit injects
 	// a synthetic burst of no-op requests ahead of the real batch, driving

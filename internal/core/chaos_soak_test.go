@@ -143,9 +143,7 @@ func spineProgram(depth int) func(t *Task) mem.Value {
 // under the full injection preset (which includes PathSpill, forcing the
 // inline→vector promotion even at shallow depths) in both heap modes. The
 // eager run must have produced at least one naturally spilled path; the
-// PathSpill point must have fired somewhere across the matrix. (The legacy
-// label-space rebalance needed no chaos point and is unreachable on the
-// default oracle — this is its replacement as the ancestry stress.)
+// PathSpill point must have fired somewhere across the matrix.
 func TestChaosDeepSpineSpill(t *testing.T) {
 	const depth = 160
 	want := int64(1 + depth*(depth+1)/2)

@@ -44,10 +44,8 @@ var ErrHeapLimit = errors.New("core: heap limit exceeded")
 // PanicError wraps a panic recovered from a task branch. Run returns it
 // instead of letting the panic kill a worker goroutine (which used to hang
 // the pool). Unwrap exposes panics whose value was itself an error — the
-// typed resource-exhaustion panics (mem.ErrChunkTableExhausted, and on the
-// legacy order-list oracle only, order.ErrLabelSpaceExhausted — the default
-// fork-path oracle has no label space to exhaust) surface through errors.Is
-// this way.
+// typed resource-exhaustion panic mem.ErrChunkTableExhausted surfaces
+// through errors.Is this way.
 type PanicError struct {
 	Value any    // the value passed to panic
 	Stack []byte // the panicking goroutine's stack at recovery
@@ -119,12 +117,6 @@ type Config struct {
 	// events flow only while trace.Enable is in effect — and timing runs
 	// leave Tracer nil so every instrumentation site stays a nil test.
 	Tracer *trace.Tracer
-	// Ancestry selects the heap tree's ancestry oracle. The zero value is
-	// hierarchy.AncestryForkPath, the DePa fork-path words (the default);
-	// AncestryOrderList keeps the retired seqlock'd order-maintenance list
-	// for ablation, and AncestryBoth runs both oracles differentially
-	// (testing only — every query pays for two answers plus a compare).
-	Ancestry hierarchy.AncestryMode
 	// Attr, when non-nil, installs the sampled cost-attribution profiler
 	// (package attr): each scheduler worker and each task heap gets the
 	// sink of the strand running it, the concurrent collector gets the
@@ -200,7 +192,7 @@ type ElisionStats struct {
 // New creates a runtime.
 func New(cfg Config) *Runtime {
 	cfg.fill()
-	r := &Runtime{cfg: cfg, space: mem.NewSpace(), tree: hierarchy.NewWithAncestry(cfg.Ancestry)}
+	r := &Runtime{cfg: cfg, space: mem.NewSpace(), tree: hierarchy.New()}
 	r.ent = entangle.New(r.space, r.tree, cfg.Mode)
 	r.col = gc.New(r.space, r.tree)
 	r.pool = sched.NewPool(cfg.Procs, cfg.Seed)

@@ -143,7 +143,7 @@ func TestStressSpaceBoundedUnderTinyBudget(t *testing.T) {
 func TestStressDeepForkTree(t *testing.T) {
 	// A deep, narrow fork chain: one side of every fork recurses, the
 	// other allocates. Exercises heap depths, merge chains, and the
-	// hierarchy's Euler maintenance under heavy insertion/deletion.
+	// hierarchy's fork-path assignment under heavy fork/merge churn.
 	rt := New(Config{Procs: 2, HeapBudgetWords: 4096})
 	v, err := rt.Run(func(tk *Task) mem.Value {
 		var rec func(t *Task, d int) int64

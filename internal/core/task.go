@@ -237,7 +237,6 @@ func (t *Task) collectNow() bool {
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrRetainedChunks), uint64(t.rt.col.RetainedChunks.Load()))
 		if s := t.rt.tree.Stats; s != nil {
 			ring.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(s.AncestryQueries.Load()))
-			ring.Emit(trace.EvCounter, d, uint64(trace.CtrSeqlockRetries), uint64(s.SeqlockRetries.Load()))
 		}
 		t.flushElision()
 		es := t.rt.ElisionStats()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,9 +14,7 @@ import (
 // TestAncestryCountersReachTrace runs an entangled workload with tracing on
 // and checks the ancestry-oracle counters flow end to end: Tree.Stats is
 // installed alongside the tracer, join/LGC sites sample it into counter
-// events, and the Chrome export + summary surface them by name. On the
-// default fork-path oracle the retry counter must stay zero — there is no
-// retry path to count.
+// events, and the Chrome export + summary surface them by name.
 func TestAncestryCountersReachTrace(t *testing.T) {
 	tracer := trace.NewTracer(4, 1<<14)
 	rt := New(Config{Procs: 4, HeapBudgetWords: 2048, Tracer: tracer})
@@ -31,19 +30,13 @@ func TestAncestryCountersReachTrace(t *testing.T) {
 	if rt.tree.Stats.AncestryQueries.Load() == 0 {
 		t.Fatal("entangled run consulted no ancestry oracle")
 	}
-	if n := rt.tree.Stats.SeqlockRetries.Load(); n != 0 {
-		t.Fatalf("fork-path oracle counted %d seqlock retries", n)
-	}
 
 	var buf bytes.Buffer
 	if err := trace.WriteChrome(&buf, tracer); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.String()
-	// The retry track is exported (all-zero on this oracle); Summarize's
-	// CounterMax only records counters that ever went positive.
-	if !strings.Contains(raw, `"seqlock_retries"`) {
-		t.Fatal("seqlock_retries track missing from Chrome export")
+	if !strings.Contains(buf.String(), `"ancestry_queries"`) {
+		t.Fatal("ancestry_queries track missing from Chrome export")
 	}
 	s, err := trace.Summarize(&buf)
 	if err != nil {
@@ -98,11 +91,13 @@ func TestElisionCountersReachTrace(t *testing.T) {
 	}
 }
 
-// TestAncestryModesEndToEnd runs the entangled stress workload through the
-// runtime under every ancestry oracle — including AncestryBoth, which
-// panics on any fork-path/order-list divergence mid-run — and checks
-// results and pin accounting agree with a sequential baseline.
-func TestAncestryModesEndToEnd(t *testing.T) {
+// TestAncestryEndToEnd runs the entangled stress workload through the
+// runtime in both heap modes, checks results and pin accounting against a
+// sequential baseline, and then checks the ancestry oracle on the trees
+// the real scheduler built — steals, lazy heaps and merges included —
+// against a walk of Heap.Parent links over every pair of heaps the run
+// created.
+func TestAncestryEndToEnd(t *testing.T) {
 	for _, seed := range []uint64{5, 17} {
 		prog := randomProgram(seed, 6, true)
 		var want int64
@@ -114,26 +109,59 @@ func TestAncestryModesEndToEnd(t *testing.T) {
 			}
 			want = v.AsInt()
 		}
-		for _, mode := range []hierarchy.AncestryMode{
-			hierarchy.AncestryForkPath, hierarchy.AncestryOrderList, hierarchy.AncestryBoth,
-		} {
-			for _, lazy := range []bool{false, true} {
-				rt := New(Config{Procs: 4, HeapBudgetWords: 2048, Ancestry: mode, LazyHeaps: lazy})
-				if got := rt.tree.Ancestry(); got != mode {
-					t.Fatalf("mode %v not plumbed (got %v)", mode, got)
+		for _, lazy := range []bool{false, true} {
+			rt := New(Config{Procs: 4, HeapBudgetWords: 2048, LazyHeaps: lazy})
+			v, err := rt.Run(prog)
+			if err != nil {
+				t.Fatalf("seed %d lazy %v: %v", seed, lazy, err)
+			}
+			if v.AsInt() != want {
+				t.Fatalf("seed %d lazy %v: result %d, want %d", seed, lazy, v.AsInt(), want)
+			}
+			if s := rt.EntStats(); s.Pins != s.Unpins {
+				t.Fatalf("seed %d lazy %v: pins %d != unpins %d", seed, lazy, s.Pins, s.Unpins)
+			}
+			checkAncestryAgainstWalk(t, rt.tree, fmt.Sprintf("seed %d lazy %v", seed, lazy))
+		}
+	}
+}
+
+// checkAncestryAgainstWalk compares IsAncestor and LCADepth over every
+// pair of heaps in tr with answers computed by walking parent links.
+func checkAncestryAgainstWalk(t *testing.T, tr *hierarchy.Tree, what string) {
+	t.Helper()
+	// Lazy-heap runs create heaps only at steals, so without a steal the
+	// tree is just the root; the eager runs always fork the full tree.
+	n := tr.Count()
+	t.Logf("%s: checking %d heaps", what, n)
+	heaps := make([]*hierarchy.Heap, n)
+	for i := range heaps {
+		heaps[i] = tr.Get(uint32(i + 1))
+	}
+	for _, a := range heaps {
+		for _, b := range heaps {
+			anc := false
+			for x := b; x != nil; x = x.Parent() {
+				if x == a {
+					anc = true
+					break
 				}
-				v, err := rt.Run(prog)
-				if err != nil {
-					t.Fatalf("seed %d mode %v lazy %v: %v", seed, mode, lazy, err)
-				}
-				if v.AsInt() != want {
-					t.Fatalf("seed %d mode %v lazy %v: result %d, want %d",
-						seed, mode, lazy, v.AsInt(), want)
-				}
-				if s := rt.EntStats(); s.Pins != s.Unpins {
-					t.Fatalf("seed %d mode %v lazy %v: pins %d != unpins %d",
-						seed, mode, lazy, s.Pins, s.Unpins)
-				}
+			}
+			if got := tr.IsAncestor(a, b); got != anc {
+				t.Fatalf("%s: IsAncestor(%d,%d) = %v, parent walk says %v", what, a.ID, b.ID, got, anc)
+			}
+			x, y := a, b
+			for x.Depth() > y.Depth() {
+				x = x.Parent()
+			}
+			for y.Depth() > x.Depth() {
+				y = y.Parent()
+			}
+			for x != y {
+				x, y = x.Parent(), y.Parent()
+			}
+			if got := tr.LCADepth(a, b); got != x.Depth() {
+				t.Fatalf("%s: LCADepth(%d,%d) = %d, parent walk says %d", what, a.ID, b.ID, got, x.Depth())
 			}
 		}
 	}

@@ -526,7 +526,6 @@ func (m *Manager) OnJoin(child, parent *hierarchy.Heap) {
 		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedPeakBytes), uint64(m.Stats.PinnedBytesPeak.Load()))
 		if s := m.Tree.Stats; s != nil {
 			r.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(s.AncestryQueries.Load()))
-			r.Emit(trace.EvCounter, d, uint64(trace.CtrSeqlockRetries), uint64(s.SeqlockRetries.Load()))
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"mplgo/internal/bench"
 	"mplgo/internal/globalrt"
-	"mplgo/internal/hierarchy"
 	"mplgo/internal/sim"
 	"mplgo/internal/tables"
 	"mplgo/internal/trace"
@@ -69,14 +68,6 @@ func cellConfig(c Cell) (mpl.Config, error) {
 		cfg.LazyHeaps = true
 	default:
 		return cfg, fmt.Errorf("cell %s: bad heap mode %q", c.ID, c.Heap)
-	}
-	switch c.Ancestry {
-	case AncestryForkPath, "":
-		cfg.Ancestry = hierarchy.AncestryForkPath
-	case AncestryOrderList:
-		cfg.Ancestry = hierarchy.AncestryOrderList
-	default:
-		return cfg, fmt.Errorf("cell %s: bad ancestry mode %q", c.ID, c.Ancestry)
 	}
 	if c.Elide {
 		cfg.Mode = mpl.Unsafe

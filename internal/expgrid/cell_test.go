@@ -9,8 +9,8 @@ import (
 
 func smokeCell() Cell {
 	c := Cell{
-		ID: "msort/p=2/heap=fork/anc=forkpath/elide=off", Label: "msort",
-		Bench: "msort", N: 2000, Procs: 2, Heap: HeapFork, Ancestry: AncestryForkPath,
+		ID: "msort/p=2/heap=fork/elide=off", Label: "msort",
+		Bench: "msort", N: 2000, Procs: 2, Heap: HeapFork,
 		Repeats: 2, Warmups: 1, Seed: 1, MeasureSeq: true,
 	}
 	return c

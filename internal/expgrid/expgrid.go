@@ -1,10 +1,9 @@
 // Package expgrid is the paper-runner's experiment-grid subsystem: a
 // checked-in JSON spec declares a grid of benchmark measurements
-// (benchmark × worker-count sweep × heap mode × ancestry mode × barrier
-// ablation, with per-experiment repeats and warmups), the runner executes
-// each cell in a fresh subprocess, and the results become the validated
-// CSV tables and the simulator cross-validation report under
-// scripts/paper/out/.
+// (benchmark × worker-count sweep × heap mode × barrier ablation, with
+// per-experiment repeats and warmups), the runner executes each cell in a
+// fresh subprocess, and the results become the validated CSV tables and
+// the simulator cross-validation report under scripts/paper/out/.
 //
 // The point of the subsystem is to replace ad-hoc measurement with
 // reproducible, statistically summarized curves on *real* cores: every
@@ -21,6 +20,7 @@
 package expgrid
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -34,12 +34,6 @@ import (
 const (
 	HeapFork = "fork" // child heaps materialized at every fork (default)
 	HeapLazy = "lazy" // child heaps materialized at steals (MPL-style)
-)
-
-// Ancestry modes of the grid's ancestry dimension.
-const (
-	AncestryForkPath  = "forkpath"  // DePa fork-path words (default)
-	AncestryOrderList = "orderlist" // legacy order-maintenance list
 )
 
 // Spec is the experiment grid, loaded from scripts/paper/experiments.json.
@@ -83,9 +77,6 @@ type Experiment struct {
 	Procs ProcSpec `json:"procs,omitempty"`
 	// Heap is the heap-materialization mode: "fork" (default) or "lazy".
 	Heap string `json:"heap,omitempty"`
-	// Ancestry is the ancestry oracle: "forkpath" (default) or
-	// "orderlist" (the retired list, kept for ablation).
-	Ancestry string `json:"ancestry,omitempty"`
 	// Elide runs with the entanglement barriers off (mpl.Unsafe) — the
 	// whole-program analogue of the static-elision ablation, valid only
 	// for disentangled benchmarks (the spec loader rejects it elsewhere).
@@ -186,17 +177,16 @@ func (p ProcSpec) expand(cores int) []int {
 // every knob concrete. A cell is the unit of subprocess execution — its
 // JSON form is the wire format of mplgo-bench's grid-cell mode.
 type Cell struct {
-	ID       string `json:"id"` // e.g. "msort/p=2/heap=fork/anc=forkpath/elide=off"
-	Label    string `json:"label"`
-	Bench    string `json:"bench"`
-	N        int    `json:"n"`
-	Procs    int    `json:"procs"`
-	Heap     string `json:"heap"`
-	Ancestry string `json:"ancestry"`
-	Elide    bool   `json:"elide"`
-	Repeats  int    `json:"repeats"`
-	Warmups  int    `json:"warmups"`
-	Seed     int64  `json:"seed"`
+	ID      string `json:"id"` // e.g. "msort/p=2/heap=fork/elide=off"
+	Label   string `json:"label"`
+	Bench   string `json:"bench"`
+	N       int    `json:"n"`
+	Procs   int    `json:"procs"`
+	Heap    string `json:"heap"`
+	Elide   bool   `json:"elide"`
+	Repeats int    `json:"repeats"`
+	Warmups int    `json:"warmups"`
+	Seed    int64  `json:"seed"`
 	// MeasureSeq adds the global-heap sequential baseline to the cell's
 	// measurements (set on each group's P=1 cell — overhead needs it).
 	MeasureSeq bool `json:"measure_seq,omitempty"`
@@ -211,8 +201,10 @@ type Cell struct {
 
 // GroupKey identifies the cell's sweep group: all cells differing only in
 // P. Speedup curves and bound calibration are per group.
-func (c *Cell) GroupKey() string {
-	return fmt.Sprintf("%s/heap=%s/anc=%s/elide=%s", c.Label, c.Heap, c.Ancestry, onOff(c.Elide))
+func (c *Cell) GroupKey() string { return groupKey(c.Label, c.Heap, c.Elide) }
+
+func groupKey(label, heap string, elide bool) string {
+	return fmt.Sprintf("%s/heap=%s/elide=%s", label, heap, onOff(elide))
 }
 
 // IDHash is the cell identity surfaced through trace rings (the value of
@@ -236,12 +228,25 @@ func LoadSpec(path string) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	s, err := parseSpec(data)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return s, nil
+}
+
+// parseSpec decodes and validates a grid spec. Unknown keys are errors: a
+// misspelled or retired knob would otherwise run the default under the
+// requested label.
+func parseSpec(data []byte) (*Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var s Spec
+	if err := dec.Decode(&s); err != nil {
+		return nil, err
+	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	return &s, nil
 }
@@ -269,9 +274,6 @@ func (s *Spec) fill() {
 	if d.Heap == "" {
 		d.Heap = HeapFork
 	}
-	if d.Ancestry == "" {
-		d.Ancestry = AncestryForkPath
-	}
 	if d.Seed == 0 {
 		d.Seed = 1
 	}
@@ -286,9 +288,6 @@ func (s *Spec) resolve(e Experiment) Experiment {
 	}
 	if e.Heap == "" {
 		e.Heap = d.Heap
-	}
-	if e.Ancestry == "" {
-		e.Ancestry = d.Ancestry
 	}
 	if e.Elide == nil {
 		e.Elide = d.Elide
@@ -318,7 +317,7 @@ func (s *Spec) resolve(e Experiment) Experiment {
 // Validate checks the spec is executable: every experiment names a known
 // benchmark, modes are in range, elision is only requested for
 // disentangled benchmarks, and every sweep includes P=1 (the calibration
-// point), with labels unique per (label, heap, ancestry, elide) group.
+// point), with labels unique per (label, heap, elide) group.
 func (s *Spec) Validate() error {
 	s.fill()
 	if len(s.Experiments) == 0 {
@@ -336,11 +335,6 @@ func (s *Spec) Validate() error {
 		default:
 			return fmt.Errorf("experiment %d (%s): bad heap mode %q", i, e.Label, e.Heap)
 		}
-		switch e.Ancestry {
-		case AncestryForkPath, AncestryOrderList:
-		default:
-			return fmt.Errorf("experiment %d (%s): bad ancestry mode %q", i, e.Label, e.Ancestry)
-		}
 		if *e.Elide && b.Entangled {
 			return fmt.Errorf("experiment %d (%s): elide=true is unsound for entangled benchmark %q",
 				i, e.Label, e.Bench)
@@ -357,7 +351,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("experiment %d (%s): bad procs %d", i, e.Label, p)
 			}
 		}
-		key := fmt.Sprintf("%s/heap=%s/anc=%s/elide=%s", e.Label, e.Heap, e.Ancestry, onOff(*e.Elide))
+		key := groupKey(e.Label, e.Heap, *e.Elide)
 		if seen[key] {
 			return fmt.Errorf("experiment %d: duplicate group %s (use label to distinguish)", i, key)
 		}
@@ -386,15 +380,13 @@ func (s *Spec) Expand(cores int) []Cell {
 				N:          n,
 				Procs:      p,
 				Heap:       e.Heap,
-				Ancestry:   e.Ancestry,
 				Elide:      *e.Elide,
 				Repeats:    e.Repeats,
 				Warmups:    e.Warmups,
 				Seed:       e.Seed,
 				MeasureSeq: p == 1,
 			}
-			c.ID = fmt.Sprintf("%s/p=%d/heap=%s/anc=%s/elide=%s",
-				e.Label, p, e.Heap, e.Ancestry, onOff(c.Elide))
+			c.ID = fmt.Sprintf("%s/p=%d/heap=%s/elide=%s", e.Label, p, e.Heap, onOff(c.Elide))
 			cells = append(cells, c)
 		}
 	}

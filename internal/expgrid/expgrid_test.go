@@ -67,13 +67,10 @@ func TestProcSpecExpand(t *testing.T) {
 	}
 }
 
+// specOf decodes src through LoadSpec's decoder.
 func specOf(t *testing.T, src string) (*Spec, error) {
 	t.Helper()
-	var s Spec
-	if err := json.Unmarshal([]byte(src), &s); err != nil {
-		t.Fatalf("bad test JSON: %v", err)
-	}
-	return &s, s.Validate()
+	return parseSpec([]byte(src))
 }
 
 func TestSpecValidate(t *testing.T) {
@@ -84,7 +81,8 @@ func TestSpecValidate(t *testing.T) {
 		{`{"experiments":[]}`, "no experiments"},
 		{`{"experiments":[{"bench":"nosuch","procs":[1]}]}`, "unknown benchmark"},
 		{`{"experiments":[{"bench":"msort","procs":[1],"heap":"eager"}]}`, "bad heap mode"},
-		{`{"experiments":[{"bench":"msort","procs":[1],"ancestry":"magic"}]}`, "bad ancestry mode"},
+		{`{"experiments":[{"bench":"msort","procs":[1],"heep":"lazy"}]}`, `unknown field "heep"`},
+		{`{"experiments":[{"bench":"msort","procs":[1],"ancestry":"orderlist"}]}`, `unknown field "ancestry"`},
 		{`{"experiments":[{"bench":"dedup","procs":[1],"elide":true}]}`, "unsound for entangled"},
 		{`{"experiments":[{"bench":"msort","procs":[2,4]}]}`, "must include 1"},
 		{`{"experiments":[{"bench":"msort","procs":[1]},{"bench":"msort","procs":[1,2]}]}`, "duplicate group"},
@@ -115,7 +113,7 @@ func TestSpecDefaultsFill(t *testing.T) {
 		t.Fatalf("cells: %v", cells)
 	}
 	c := cells[0]
-	if c.Repeats != 7 || c.Heap != HeapLazy || c.Ancestry != AncestryForkPath ||
+	if c.Repeats != 7 || c.Heap != HeapLazy ||
 		c.Warmups != 1 || c.Seed != 1 || c.Elide {
 		t.Errorf("resolved cell: %+v", c)
 	}
@@ -135,7 +133,7 @@ func TestSpecExpandCells(t *testing.T) {
 	if len(cells) != 4 { // msort {1,2,4} + dedup {1}
 		t.Fatalf("got %d cells: %+v", len(cells), cells)
 	}
-	if cells[0].ID != "msort/p=1/heap=fork/anc=forkpath/elide=off" {
+	if cells[0].ID != "msort/p=1/heap=fork/elide=off" {
 		t.Errorf("ID: %q", cells[0].ID)
 	}
 	if !cells[0].MeasureSeq || cells[1].MeasureSeq || cells[2].MeasureSeq || !cells[3].MeasureSeq {

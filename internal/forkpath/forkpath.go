@@ -1,6 +1,6 @@
 // Package forkpath implements DePa-style fork-path words: the immutable
-// per-heap ancestry representation that replaces the shared
-// order-maintenance list (package order) as the runtime's SP-order oracle.
+// per-heap ancestry representation that is the runtime's only SP-order
+// oracle.
 //
 // Following *DePa: Simple, Provably Efficient, and Practical Order
 // Maintenance for Task Parallelism* (Westrick, Wang, Acar), each heap
@@ -16,8 +16,7 @@
 //
 // Because the words are immutable after construction, queries are pure
 // loads: no seqlock, no retry loop, no relabeling, no label-space
-// exhaustion, and unbounded task counts. This deletes the entire
-// `Tree.ver` odd/even dance from the entanglement barriers' hot path.
+// exhaustion, and unbounded task counts.
 //
 // # Encoding
 //

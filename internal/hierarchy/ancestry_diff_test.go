@@ -1,12 +1,9 @@
 package hierarchy
 
-// Differential and property tests for the ancestry oracles. Trees are built
-// in AncestryBoth mode, so every IsAncestor/LCA call already runs the
-// fork-path and legacy order-list oracles against each other and panics on
-// divergence; the tests below add the third leg — a naive parent-walk
-// oracle — and the schedules (deep spines, wide fanout, forced spills,
-// concurrent forks) under which the retired seqlock protocol historically
-// earned its retries.
+// Differential tests for the fork-path ancestry oracle: every
+// IsAncestor/LCA/LCADepth answer is checked against a naive parent-walk
+// oracle over the schedules that stress the path encoding (deep spines,
+// wide fanout, forced spills, concurrent forks).
 
 import (
 	"math/rand"
@@ -70,15 +67,15 @@ func min(a, b int) int {
 	return b
 }
 
-// TestAncestryDifferentialRandomTrees cross-checks all three oracles over
-// randomized trees of every shape. The spine shape grows past 128 path bits
+// TestAncestryDifferentialRandomTrees checks the oracle against the walk
+// over randomized trees of every shape. The spine shape grows past 128 path bits
 // so the spilled fork-path representation is compared too, and a PathSpill
 // injector additionally forces spilled paths at shallow depths.
 func TestAncestryDifferentialRandomTrees(t *testing.T) {
 	for _, shape := range []string{"uniform", "spine", "wide"} {
 		for trial := 0; trial < 4; trial++ {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
-			tr := NewWithAncestry(AncestryBoth)
+			tr := New()
 			tr.SetChaos(chaos.New(int64(trial+1), chaos.Options{PathSpill: 256}))
 			n := 200
 			if shape == "spine" {
@@ -88,8 +85,6 @@ func TestAncestryDifferentialRandomTrees(t *testing.T) {
 			for q := 0; q < 4000; q++ {
 				a := heaps[rng.Intn(len(heaps))]
 				b := heaps[rng.Intn(len(heaps))]
-				// AncestryBoth cross-checks forkpath against the legacy list
-				// inside each call; we assert against the walk oracle.
 				if got, want := tr.IsAncestor(a, b), walkIsAncestor(a, b); got != want {
 					t.Fatalf("%s/%d: IsAncestor(%d,%d) = %v, walk oracle says %v (paths %s, %s)",
 						shape, trial, a.ID, b.ID, got, want, a.path.String(), b.path.String())
@@ -110,15 +105,13 @@ func TestAncestryDifferentialRandomTrees(t *testing.T) {
 
 // TestAncestryDifferentialConcurrent runs forkers and queriers together
 // (meaningful under -race): forkers grow deep spines and wide fans while
-// queriers fire all three oracles at heaps already published. This is the
-// schedule that exercises the legacy seqlock's retry path — structural
-// edits relabeling tags mid-query — with the fork-path answer checked
-// against it on every call by AncestryBoth.
+// queriers check IsAncestor, LCA and LCADepth on heaps already published
+// against the walk oracle while new paths are being assigned.
 func TestAncestryDifferentialConcurrent(t *testing.T) {
 	const forkers, queriers = 3, 4
 	const forksEach = 300
 
-	tr := NewWithAncestry(AncestryBoth)
+	tr := New()
 	tr.SetChaos(chaos.New(7, chaos.Options{PathSpill: 256}))
 	tr.Stats = &TreeStats{}
 
@@ -186,28 +179,6 @@ func TestAncestryDifferentialConcurrent(t *testing.T) {
 
 	if q := tr.Stats.AncestryQueries.Load(); q == 0 {
 		t.Fatal("stats counted no ancestry queries")
-	}
-}
-
-// TestAncestryOrderListMode checks the retired oracle still stands alone:
-// a tree in AncestryOrderList mode must answer identically to the walk
-// oracle with the fork-path words never consulted.
-func TestAncestryOrderListMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	tr := NewWithAncestry(AncestryOrderList)
-	if tr.Ancestry() != AncestryOrderList {
-		t.Fatal("mode not recorded")
-	}
-	heaps := growTree(tr, rng, []*Heap{tr.Root()}, 250, "uniform")
-	for q := 0; q < 5000; q++ {
-		a := heaps[rng.Intn(len(heaps))]
-		b := heaps[rng.Intn(len(heaps))]
-		if got, want := tr.IsAncestor(a, b), walkIsAncestor(a, b); got != want {
-			t.Fatalf("order-list IsAncestor(%d,%d) = %v, want %v", a.ID, b.ID, got, want)
-		}
-		if got, want := tr.LCA(a, b), walkLCA(a, b); got != want {
-			t.Fatalf("order-list LCA(%d,%d) = %d, want %d", a.ID, b.ID, got.ID, want.ID)
-		}
 	}
 }
 

@@ -108,8 +108,11 @@ func TestCGCStateName(t *testing.T) {
 
 // TestDumpTreeConcurrent exercises DumpTree while heaps fork, merge, and
 // chunks churn — under -race this proves the snapshot touches only
-// synchronized state.
+// synchronized state. The churn is capped: a snapshot walks every heap
+// id ever issued, so an unbounded churn running on its own core grows the
+// id space geometrically across the dumps and the test never finishes.
 func TestDumpTreeConcurrent(t *testing.T) {
+	const maxChurn = 4096
 	tr := New()
 	sp := mem.NewSpace()
 	root := tr.Root()
@@ -120,7 +123,7 @@ func TestDumpTreeConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
+		for i := 0; i < maxChurn; i++ {
 			select {
 			case <-stop:
 				return

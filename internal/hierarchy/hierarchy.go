@@ -9,16 +9,9 @@
 // immutable per-heap values assigned at Fork, making IsAncestor a prefix
 // test and LCA a longest-common-prefix computation over pure loads, with
 // no shared mutable label space, no seqlock retries, and no rebalancing.
-//
-// The retired oracle — an Euler-tour interval test over a seqlock'd
-// order-maintenance list (package order) — is kept behind AncestryOrderList
-// for ablation, plus AncestryBoth, a differential-testing mode that runs
-// every query through both oracles and panics on divergence.
 package hierarchy
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,23 +19,7 @@ import (
 	"mplgo/internal/chaos"
 	"mplgo/internal/forkpath"
 	"mplgo/internal/mem"
-	"mplgo/internal/order"
 	"mplgo/internal/trace"
-)
-
-// AncestryMode selects the ancestry oracle of a Tree.
-type AncestryMode int
-
-const (
-	// AncestryForkPath answers ancestry from immutable DePa fork-path
-	// words: the default.
-	AncestryForkPath AncestryMode = iota
-	// AncestryOrderList answers from the legacy seqlock'd Euler-tour
-	// order-maintenance list, for ablation and regression comparison.
-	AncestryOrderList
-	// AncestryBoth maintains both structures, answers every query with
-	// both, and panics on divergence: the differential-testing mode.
-	AncestryBoth
 )
 
 // TreeStats counts ancestry-oracle traffic for trace attribution. The
@@ -50,13 +27,8 @@ const (
 // runtime installs it alongside the tracer.
 type TreeStats struct {
 	// AncestryQueries counts IsAncestor/LCA/LCADepth calls that reached
-	// an oracle (equal-heap shortcuts excluded).
+	// the oracle (equal-heap shortcuts excluded).
 	AncestryQueries atomic.Int64
-	_               [56]byte // keep the two counters off one cache line
-	// SeqlockRetries counts legacy order-list query attempts that
-	// overlapped a structural edit and had to retry; always zero with the
-	// fork-path oracle, which has no retry path at all.
-	SeqlockRetries atomic.Int64
 }
 
 // RootSet enumerates mutable values that must be treated as GC roots.
@@ -153,8 +125,6 @@ type Heap struct {
 	// stays correct even after the key heap merges away.
 	lcaKey *Heap
 	lcaVal int
-
-	pre, post *order.Elem // legacy Euler-tour interval; nil in fork-path mode, guarded by Tree.mu
 
 	// Gate orders this heap's bulk phases — local collection and the merge
 	// that retires it — against in-flight entanglement slow paths. Readers
@@ -303,24 +273,12 @@ type heapBlock [heapBlockSize]atomic.Pointer[Heap]
 
 // Tree is the heap hierarchy.
 type Tree struct {
-	mu sync.Mutex // serializes structural edits (Fork, Merge)
-
-	// ancestry selects the oracle; order is the legacy label list, nil in
-	// the default fork-path mode (no shared label space exists at all).
-	ancestry AncestryMode
-	order    *order.List
-	root     *Heap
+	mu   sync.Mutex // serializes structural edits (Fork)
+	root *Heap
 
 	// Stats, when non-nil, counts oracle traffic for trace attribution.
 	// Install before the computation starts; nil in timing runs.
 	Stats *TreeStats
-
-	// ver is a seqlock over the legacy Euler-tour labels: Fork bumps it to
-	// odd before touching the order list and back to even after. Legacy
-	// order queries run lock-free and retry when they overlap an edit — an
-	// overlapping relabel can hand them a mix of old and new tags. Unused
-	// (never bumped, never read) by the fork-path oracle.
-	ver atomic.Uint64
 
 	// spine is the growable two-level id→heap table. Readers resolve ids
 	// with three atomic loads and no shared-line read-modify-write, which
@@ -330,41 +288,24 @@ type Tree struct {
 	spine  atomic.Pointer[[]atomic.Pointer[heapBlock]]
 	nextID uint32 // next heap id; guarded by mu
 
-	// UseWalkAncestor switches ancestor queries to naive parent walking,
-	// for the AblateAncestor experiment.
-	UseWalkAncestor bool
-
 	// chaos, when set via SetChaos, is propagated into every heap's gate
 	// so the GateAcquire injection point fires on the entanglement slow
 	// paths of all heaps, including ones forked later.
 	chaos *chaos.Injector
 }
 
-// New creates a hierarchy containing only the root heap, with the default
-// fork-path ancestry oracle.
-func New() *Tree { return NewWithAncestry(AncestryForkPath) }
-
-// NewWithAncestry creates a hierarchy with the given ancestry oracle. The
-// legacy order-maintenance list is built only when the mode asks for it.
-func NewWithAncestry(mode AncestryMode) *Tree {
-	t := &Tree{ancestry: mode}
+// New creates a hierarchy containing only the root heap.
+func New() *Tree {
+	t := &Tree{}
 	spine := make([]atomic.Pointer[heapBlock], 1)
 	spine[0].Store(new(heapBlock))
 	t.spine.Store(&spine)
 	root := &Heap{ID: 1, depth: 0, path: forkpath.Root()}
-	if mode != AncestryForkPath {
-		t.order = order.NewList()
-		root.pre = t.order.Base().InsertAfter()
-		root.post = root.pre.InsertAfter()
-	}
 	t.put(root)
 	t.nextID = 2
 	t.root = root
 	return t
 }
-
-// Ancestry returns the tree's ancestry oracle mode.
-func (t *Tree) Ancestry() AncestryMode { return t.ancestry }
 
 // put publishes h in the id table. Caller holds t.mu (or is New).
 func (t *Tree) put(h *Heap) {
@@ -457,33 +398,14 @@ func (t *Tree) Fork(parent *Heap) *Heap {
 	} else {
 		h.path = parent.path.Child(parent.forkSeq)
 	}
-	if t.order != nil {
-		// Legacy oracle: nest the child's Euler interval immediately inside
-		// the parent's pre visit; sibling intervals stack leftward, which
-		// preserves nesting. The seqlock covers the inserts: they may
-		// relabel tags that racing order queries are reading. Both the
-		// seqlock close and the mutex release are deferred so that a
-		// label-space-exhaustion panic from InsertAfter unwinds without
-		// wedging concurrent order queries (which would otherwise spin on
-		// the odd version forever) — the runtime's panic-safe fork converts
-		// that panic into a Run error. None of this exists on the fork-path
-		// oracle: no labels, no seqlock, no exhaustion.
-		t.ver.Add(1)
-		defer t.ver.Add(1)
-		h.pre = parent.pre.InsertAfter()
-		h.post = h.pre.InsertAfter()
-	}
 	t.put(h)
 	parent.liveChildren.Add(1)
 	return h
 }
 
-// IsAncestor reports whether a is an ancestor of (or equal to) d.
-//
-// With the fork-path oracle (the default) this is a prefix test over a's
-// and d's immutable path words: pure loads, no retry path, safe from any
-// strand at any time. The legacy oracle's interval test runs under the
-// tree's seqlock and retries if a structural edit overlapped it.
+// IsAncestor reports whether a is an ancestor of (or equal to) d: a
+// prefix test over a's and d's immutable fork-path words. Pure loads, no
+// retry path, safe from any strand at any time.
 func (t *Tree) IsAncestor(a, d *Heap) bool {
 	if a == d {
 		return true
@@ -491,67 +413,21 @@ func (t *Tree) IsAncestor(a, d *Heap) bool {
 	if s := t.Stats; s != nil {
 		s.AncestryQueries.Add(1)
 	}
-	if t.UseWalkAncestor {
-		for x := d; x != nil; x = x.parent {
-			if x == a {
-				return true
-			}
-		}
-		return false
-	}
-	if t.order == nil {
-		return forkpath.IsPrefix(&a.path, &d.path)
-	}
-	legacy := t.legacyIsAncestor(a, d)
-	if t.ancestry == AncestryBoth {
-		if fp := forkpath.IsPrefix(&a.path, &d.path); fp != legacy {
-			panic(fmt.Sprintf("hierarchy: ancestry oracles diverge: IsAncestor(%d,%d) forkpath=%v order=%v (paths %s, %s)",
-				a.ID, d.ID, fp, legacy, a.path.String(), d.path.String()))
-		}
-	}
-	return legacy
-}
-
-// legacyIsAncestor is the retired Euler-tour interval test: a seqlock read
-// over the order list's atomic tags.
-func (t *Tree) legacyIsAncestor(a, d *Heap) bool {
-	for {
-		v := t.ver.Load()
-		if v&1 == 0 {
-			ok := order.Leq(a.pre, d.pre) && order.Leq(d.post, a.post)
-			if t.ver.Load() == v {
-				return ok
-			}
-		}
-		if s := t.Stats; s != nil {
-			s.SeqlockRetries.Add(1)
-		}
-		runtime.Gosched()
-	}
+	return forkpath.IsPrefix(&a.path, &d.path)
 }
 
 // LCADepth returns the depth of the least common ancestor of a and b —
 // the quantity the entanglement barriers actually need (the unpin depth).
-// With the fork-path oracle it is a longest-common-prefix computation over
-// immutable words, with no heap walk at all.
+// It is a longest-common-prefix computation over immutable words, with no
+// heap walk at all.
 func (t *Tree) LCADepth(a, b *Heap) int {
 	if a == b {
 		return a.depth
 	}
-	if t.order == nil && !t.UseWalkAncestor {
-		if s := t.Stats; s != nil {
-			s.AncestryQueries.Add(1)
-		}
-		return forkpath.LCADepth(&a.path, &b.path)
+	if s := t.Stats; s != nil {
+		s.AncestryQueries.Add(1)
 	}
-	d := t.LCA(a, b).depth
-	if t.ancestry == AncestryBoth {
-		if fp := forkpath.LCADepth(&a.path, &b.path); fp != d {
-			panic(fmt.Sprintf("hierarchy: ancestry oracles diverge: LCADepth(%d,%d) forkpath=%d order=%d (paths %s, %s)",
-				a.ID, b.ID, fp, d, a.path.String(), b.path.String()))
-		}
-	}
-	return d
+	return forkpath.LCADepth(&a.path, &b.path)
 }
 
 // UnpinDepth returns LCADepth(leaf, x) through leaf's one-entry cache.
@@ -569,12 +445,8 @@ func (t *Tree) UnpinDepth(leaf, x *Heap) int {
 	return d
 }
 
-// LCA returns the least common ancestor of a and b. The fork-path oracle
-// computes the LCA's depth from the path words and walks a's (immutable)
-// parent chain down to it; the legacy oracle runs the whole walk inside
-// one seqlock attempt: parent pointers and depths are immutable after
-// Fork, and a consistent tag snapshot (version unchanged across the walk)
-// makes the interval tests coherent with each other.
+// LCA returns the least common ancestor of a and b: the LCA's depth from
+// the path words, then a walk down a's (immutable) parent chain to it.
 func (t *Tree) LCA(a, b *Heap) *Heap {
 	if a == b {
 		return a
@@ -582,42 +454,12 @@ func (t *Tree) LCA(a, b *Heap) *Heap {
 	if s := t.Stats; s != nil {
 		s.AncestryQueries.Add(1)
 	}
-	if t.order == nil && !t.UseWalkAncestor {
-		d := forkpath.LCADepth(&a.path, &b.path)
-		x := a
-		for x.depth > d {
-			x = x.parent
-		}
-		return x
+	d := forkpath.LCADepth(&a.path, &b.path)
+	x := a
+	for x.depth > d {
+		x = x.parent
 	}
-	if t.UseWalkAncestor {
-		for x := a; x != nil; x = x.parent {
-			if t.IsAncestor(x, b) {
-				return x
-			}
-		}
-		return t.root
-	}
-	for {
-		v := t.ver.Load()
-		if v&1 == 0 {
-			for x := a; x != nil; x = x.parent {
-				if x == b || (order.Leq(x.pre, b.pre) && order.Leq(b.post, x.post)) {
-					if t.ver.Load() != v {
-						break // edit overlapped the walk; retry
-					}
-					return x
-				}
-			}
-			if t.ver.Load() == v {
-				return t.root
-			}
-		}
-		if s := t.Stats; s != nil {
-			s.SeqlockRetries.Add(1)
-		}
-		runtime.Gosched()
-	}
+	return x
 }
 
 // Merge folds child into parent at a join: chunk ownership, remembered
@@ -724,17 +566,8 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 
 	// Readers re-admitted by the deferred EndCollect will fail ownership
 	// validation against the dead child and retry against the parent.
-
-	if t.order != nil {
-		// Legacy oracle only: retire the child's Euler interval under the
-		// tree mutex. The fork-path oracle keeps joins off the tree lock
-		// entirely — the child's path is immutable and still answers
-		// (historically exact) for any strand racing this merge.
-		t.mu.Lock()
-		child.pre.Delete()
-		child.post.Delete()
-		t.mu.Unlock()
-	}
+	// Joins stay off the tree lock: the child's path is immutable and
+	// still answers (historically exact) for any strand racing this merge.
 
 	parent.liveChildren.Add(-1)
 	return unpinned, unpinnedWords

@@ -50,13 +50,12 @@ func TestIsAncestor(t *testing.T) {
 		{a, b, false}, {b, a, false}, {aa, ab, false}, {ab, aaa, false},
 		{aaa, a, false}, {a, root, false}, {b, aaa, false},
 	}
-	for _, mode := range []bool{false, true} {
-		tr.UseWalkAncestor = mode
-		for _, c := range cases {
-			if got := tr.IsAncestor(c.anc, c.desc); got != c.want {
-				t.Fatalf("walk=%v IsAncestor(%d,%d) = %v, want %v",
-					mode, c.anc.ID, c.desc.ID, got, c.want)
-			}
+	for _, c := range cases {
+		if got := tr.IsAncestor(c.anc, c.desc); got != c.want {
+			t.Fatalf("IsAncestor(%d,%d) = %v, want %v", c.anc.ID, c.desc.ID, got, c.want)
+		}
+		if got := walkIsAncestor(c.anc, c.desc); got != c.want {
+			t.Fatalf("walkIsAncestor(%d,%d) = %v, want %v", c.anc.ID, c.desc.ID, got, c.want)
 		}
 	}
 }
@@ -71,12 +70,8 @@ func TestAncestorModesAgreeRandom(t *testing.T) {
 	for trial := 0; trial < 10000; trial++ {
 		a := heaps[rng.Intn(len(heaps))]
 		d := heaps[rng.Intn(len(heaps))]
-		tr.UseWalkAncestor = false
-		euler := tr.IsAncestor(a, d)
-		tr.UseWalkAncestor = true
-		walk := tr.IsAncestor(a, d)
-		if euler != walk {
-			t.Fatalf("ancestor modes disagree for (%d,%d): euler=%v walk=%v", a.ID, d.ID, euler, walk)
+		if got, walk := tr.IsAncestor(a, d), walkIsAncestor(a, d); got != walk {
+			t.Fatalf("IsAncestor(%d,%d) = %v, walk oracle says %v", a.ID, d.ID, got, walk)
 		}
 	}
 }

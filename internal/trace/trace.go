@@ -115,10 +115,6 @@ const (
 	// query count (IsAncestor/LCA/LCADepth), for before/after attribution
 	// of the entangled hot path's ancestry traffic.
 	CtrAncestryQueries
-	// CtrSeqlockRetries samples the legacy order-list oracle's cumulative
-	// seqlock retry count; identically zero under the default fork-path
-	// oracle, which has no retry path.
-	CtrSeqlockRetries
 	// Barrier-elision telemetry: the number of statically-proven
 	// disentangled regions (constant over a run) and the cumulative
 	// unchecked loads/stores executed through the Fast accessors.
@@ -186,7 +182,6 @@ var counterNames = [ctrCounters]string{
 	CtrLiveWords:        "live_words",
 	CtrRetainedChunks:   "retained_chunks",
 	CtrAncestryQueries:  "ancestry_queries",
-	CtrSeqlockRetries:   "seqlock_retries",
 	CtrStaticRegions:    "static_regions",
 	CtrElidedLoads:      "elided_loads",
 	CtrElidedStores:     "elided_stores",
