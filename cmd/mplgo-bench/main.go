@@ -11,19 +11,12 @@
 //	mplgo-bench -exp ablate     # F2: barrier-mode ablation
 //	mplgo-bench -exp elide      # E: mlang static barrier elision on/off
 //	mplgo-bench -exp spacecurve # F3: residency vs processors
+//	mplgo-bench -exp stw        # A6: hierarchical vs stop-the-world collection
+//	                            # (modeled T_P)
 //	mplgo-bench -exp all        # everything above, in order
 //	mplgo-bench -exp trace      # traced run → Chrome trace_event JSON
 //	                            # (-trace <file>, -tracebench, -traceprocs;
 //	                            #  never part of "all" — tracing is untimed)
-//	mplgo-bench -exp attr       # A: sampled cost attribution — decompose
-//	                            # the T1−Tseq gap per slow-path component
-//	                            # (-attrbench selects the benchmarks; the
-//	                            # result merges into the -json report as
-//	                            # never-gated attr_* columns and the
-//	                            # report is validated: components must be
-//	                            # known and sum to no more than the
-//	                            # attributed run's wall clock.
-//	                            # Never part of "all".)
 //	mplgo-bench -exp grid-cell -cell <file>
 //	                            # machine-readable experiment-grid cell:
 //	                            # run the Cell JSON in <file> ('-' for
@@ -55,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"mplgo/internal/bench"
@@ -64,7 +56,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: time|space|speedup|lang|entangle|ablate|elide|spacecurve|stw|trace|attr|all")
+	exp := flag.String("exp", "all", "experiment: time|space|speedup|lang|entangle|ablate|elide|spacecurve|stw|trace|all")
 	scale := flag.Int("scale", 1, "divide default problem sizes by this factor")
 	tracePath := flag.String("trace", "trace.json",
 		"output path for -exp trace (Chrome trace_event JSON; '-' for stdout)")
@@ -78,8 +70,6 @@ func main() {
 		"relative T1-overhead regression tolerated by -baseline (0.10 = 10%)")
 	cellPath := flag.String("cell", "",
 		"grid-cell JSON for -exp grid-cell ('-' reads stdin)")
-	attrBench := flag.String("attrbench", "counter,pipeline,dedup",
-		"comma-separated benchmarks -exp attr decomposes")
 	flag.Parse()
 
 	// Grid-cell mode is fully machine-readable: the cell comes in as
@@ -185,35 +175,8 @@ func main() {
 		}
 	}
 
-	// Attribution is also opt-in only: it reruns its benchmarks with the
-	// sampling profiler enabled, which the timed tables must never see.
-	if *exp == "attr" {
-		names := strings.Split(*attrBench, ",")
-		results, err := tables.AttrTable(names, sizes, w)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "attr: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tables.ValidateAttrResults(results); err != nil {
-			fmt.Fprintf(os.Stderr, "attr: invalid report: %v\n", err)
-			os.Exit(1)
-		}
-		if *jsonOut != "off" {
-			now := time.Now().UTC()
-			path := *jsonOut
-			if path == "auto" {
-				path = fmt.Sprintf("BENCH_%s.json", now.Format("20060102T150405Z"))
-			}
-			if err := tables.MergeAttrJSON(results, now.Format(time.RFC3339), *scale, path); err != nil {
-				fmt.Fprintf(os.Stderr, "attr: writing %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "merged attribution into %s\n", path)
-		}
-	}
-
 	switch *exp {
-	case "time", "space", "speedup", "lang", "entangle", "ablate", "elide", "spacecurve", "stw", "trace", "attr", "all":
+	case "time", "space", "speedup", "lang", "entangle", "ablate", "elide", "spacecurve", "stw", "trace", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)

@@ -20,7 +20,7 @@
 // Usage:
 //
 //	mplgo-paper -grid scripts/paper/experiments.json [-out scripts/paper/out]
-//	            [-bench "go run ./cmd/mplgo-bench"] [-inprocess] [-trace-cells] [-attr-cells]
+//	            [-bench "go run ./cmd/mplgo-bench"] [-inprocess] [-trace-cells]
 //	            [-list]
 package main
 
@@ -44,8 +44,6 @@ func main() {
 		"run cells in this process instead of subprocesses (loses isolation; for quick looks)")
 	traceCells := flag.Bool("trace-cells", false,
 		"write one Chrome trace per cell into <out>/traces/, stamped with the cell identity")
-	attrCells := flag.Bool("attr-cells", false,
-		"add one attributed run per cell; the slow-path cost decomposition rides in results.json")
 	list := flag.Bool("list", false, "print the expanded cells and exit without running")
 	cores := flag.Int("cores", 0, "override the host core count for sweep expansion (0 = detect)")
 	flag.Parse()
@@ -65,7 +63,6 @@ func main() {
 			fatal("%v", err)
 		}
 	}
-	r.Attr = *attrCells
 
 	if *list {
 		n := *cores

@@ -6,13 +6,7 @@
 // Usage:
 //
 //	mplgo-trace trace.json
-//	mplgo-trace -attr trace.json
 //	mplgo-bench -exp trace -trace - | mplgo-trace -
-//
-// With -attr the tool instead prints the sampled cost-attribution
-// decomposition (component × samples / estimated total ns / share of
-// the recorded T1−Tseq gap) recovered from attr_* counters, and exits
-// nonzero when the trace carries none.
 //
 // The exit status doubles as a validator: a file that is not a valid
 // trace_event export of this runtime (missing traceEvents, events without
@@ -30,10 +24,8 @@ import (
 )
 
 func main() {
-	attrOnly := flag.Bool("attr", false,
-		"print the cost-attribution report (component × samples/est ns/% of T1−Tseq gap) instead of the summary")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mplgo-trace [-attr] <trace.json|->\n")
+		fmt.Fprintf(os.Stderr, "usage: mplgo-trace <trace.json|->\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -58,13 +50,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mplgo-trace: invalid trace %s: %v\n", path, err)
 		os.Exit(1)
-	}
-	if *attrOnly {
-		if !s.FormatAttr(os.Stdout) {
-			fmt.Fprintf(os.Stderr, "mplgo-trace: %s carries no attribution counters (run with attribution enabled)\n", path)
-			os.Exit(1)
-		}
-		return
 	}
 	s.Format(os.Stdout)
 }

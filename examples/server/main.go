@@ -254,7 +254,7 @@ func selfDrive(a *app, rt *mpl.Runtime, requests, clients int, done chan error) 
 func serveHTTP(a *app, rt *mpl.Runtime, addr string, done chan error) {
 	start := time.Now()
 	mux := http.NewServeMux()
-	telemetry.RegisterSources(mux, rt, &a.srv.Stats)
+	telemetry.Register(mux, rt, &a.srv.Stats)
 	telemetry.RegisterPprof(mux)
 
 	mux.HandleFunc("/req", func(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"mplgo/internal/attr"
 	"mplgo/internal/chaos"
 	"mplgo/internal/mem"
 	"mplgo/internal/trace"
@@ -18,15 +17,8 @@ import (
 // the forced collection cannot get back under the limit the computation is
 // cancelled with ErrHeapLimit. After cancellation it does nothing — the
 // unwind must not relocate objects.
-// Attribution: the whole pre-allocation poll — cancel check, scope
-// poll, CGC safepoint and reuse drain, residency and budget tests — is
-// one BudgetPoll window, closed before a collection it triggers
-// (BudgetPoll prices the per-allocation check; LGC time is traced
-// separately).
 func (t *Task) guardedGC(vs []mem.Value) {
-	at := t.w.Attr.Begin()
 	if t.rt.cancelled.Load() {
-		t.w.Attr.End(attr.BudgetPoll, at)
 		return
 	}
 	if s := t.scope; s != nil {
@@ -56,7 +48,6 @@ func (t *Task) guardedGC(vs []mem.Value) {
 	}
 	over := t.overHeapLimit()
 	need := over || t.needGC()
-	t.w.Attr.End(attr.BudgetPoll, at)
 	if !need {
 		return
 	}

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mplgo/internal/attr"
 	"mplgo/internal/chaos"
 	"mplgo/internal/entangle"
 	"mplgo/internal/gc"
@@ -117,14 +116,6 @@ type Config struct {
 	// events flow only while trace.Enable is in effect — and timing runs
 	// leave Tracer nil so every instrumentation site stays a nil test.
 	Tracer *trace.Tracer
-	// Attr, when non-nil, installs the sampled cost-attribution profiler
-	// (package attr): each scheduler worker and each task heap gets the
-	// sink of the strand running it, the concurrent collector gets the
-	// profiler's extra sink, and the space counts pin-CAS outcomes.
-	// Installing a profiler does not start sampling — windows open only
-	// while attr.Enable is in effect — and timing runs leave Attr nil so
-	// every sampling site stays a nil test, exactly like Tracer.
-	Attr *attr.Profiler
 }
 
 func (c *Config) fill() {
@@ -215,18 +206,11 @@ func New(cfg Config) *Runtime {
 		// atomic add when traced.
 		r.tree.Stats = &hierarchy.TreeStats{}
 	}
-	if cfg.Attr != nil {
-		for i, w := range r.pool.Workers() {
-			w.Attr = cfg.Attr.Sink(i)
-		}
-		r.space.PinStats = &mem.PinCASStats{}
-	}
 	if cfg.CGC {
 		// After the chaos block: the collector inherits the injector so
 		// the CGCMark/CGCSweep/CGCShade points fire in chaos runs.
 		r.cgc = gc.NewCGC(r.space, r.tree, r.chaos)
 		r.cgc.Ring = cfg.Tracer.CollectorRing()
-		r.cgc.Attr = cfg.Attr.CollectorSink()
 		r.ent.SATB = r.cgc
 		r.cgcTasks = make(map[*Task]struct{})
 		r.pool.Aux = r.cgcLoop
@@ -255,16 +239,6 @@ func (r *Runtime) Run(f func(*Task) mem.Value) (mem.Value, error) {
 		defer r.guard()
 		out = f(t)
 	})
-	if r.cfg.Attr != nil && r.cfg.Tracer != nil {
-		// Final attribution flush: the pool has drained, so no worker
-		// writes its ring or sink anymore and this goroutine may emit the
-		// totals of every (sink, ring) pair without breaking the
-		// single-writer contract.
-		for i := 0; i < r.pool.P(); i++ {
-			r.cfg.Attr.Sink(i).EmitCounters(r.cfg.Tracer.Ring(i), 0)
-		}
-		r.cfg.Attr.CollectorSink().EmitCounters(r.cfg.Tracer.CollectorRing(), 0)
-	}
 	if r.chaos != nil {
 		// The pool has drained: the computation is quiescent, so the
 		// strict audit (gates drained, pins balanced, no reachable
@@ -384,14 +358,6 @@ func (r *Runtime) Trace() *sim.Node { return r.trace }
 // Tracer returns the event tracer installed via Config.Tracer (nil when
 // untraced).
 func (r *Runtime) Tracer() *trace.Tracer { return r.cfg.Tracer }
-
-// AttrProfiler returns the cost-attribution profiler installed via
-// Config.Attr (nil when attribution is off).
-func (r *Runtime) AttrProfiler() *attr.Profiler { return r.cfg.Attr }
-
-// PinCASStats returns a snapshot of the pin-CAS outcome counters
-// (zero when no profiler is installed).
-func (r *Runtime) PinCASStats() mem.PinCASSnapshot { return r.space.PinStats.Snapshot() }
 
 // Steals reports total scheduler steals.
 func (r *Runtime) Steals() int64 { return r.pool.TotalSteals() }

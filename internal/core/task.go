@@ -96,10 +96,8 @@ func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node) *T
 	// The heap is executed by this worker's strand from here until its
 	// join, so the worker's ring is the heap's single-writer event ring
 	// (nil when untraced). Heap-side instrumentation (merge, unpin,
-	// entanglement slow paths hit through this leaf) emits into it. The
-	// attribution sink rides along under the same ownership rule.
+	// entanglement slow paths hit through this leaf) emits into it.
 	h.TraceRing = w.Ring
-	h.AttrSink = w.Attr
 	h.AddRootSet(t)
 	return t
 }
@@ -243,10 +241,6 @@ func (t *Task) collectNow() bool {
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrStaticRegions), uint64(es.StaticRegions))
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrElidedLoads), uint64(es.ElidedLoads))
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrElidedStores), uint64(es.ElidedStores))
-		// Periodic attribution flush: this worker owns both the sink and
-		// the ring, and a collection is a natural boundary where the
-		// strand is already off its fast paths.
-		t.w.Attr.EmitCounters(ring, d)
 	}
 	t.alloc.Retarget(t.heap.ID)
 	t.Work(res.CopiedWords * costGCWord)

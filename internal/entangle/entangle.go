@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"mplgo/internal/attr"
 	"mplgo/internal/gc"
 	"mplgo/internal/hierarchy"
 	"mplgo/internal/mem"
@@ -214,10 +213,8 @@ func (m *Manager) ShadeOverwritten(leaf *hierarchy.Heap, o mem.Ref, i int) {
 	if g == nil || !g.Marking() {
 		return
 	}
-	at := leaf.AttrSink.Begin()
 	old := m.Space.Load(o, i)
 	if !old.IsRef() || !g.InScope(old.Ref()) {
-		leaf.AttrSink.End(attr.ShadeQueue, at)
 		return
 	}
 	leaf.Gate.EnterReader()
@@ -225,7 +222,6 @@ func (m *Manager) ShadeOverwritten(leaf *hierarchy.Heap, o mem.Ref, i int) {
 		g.Shade(old.Ref())
 	}
 	leaf.Gate.ExitReader()
-	leaf.AttrSink.End(attr.ShadeQueue, at)
 }
 
 // OnWrite performs the write-barrier bookkeeping for storing the reference
@@ -237,26 +233,16 @@ func (m *Manager) ShadeOverwritten(leaf *hierarchy.Heap, o mem.Ref, i int) {
 // any reader that can observe the new pointer. The caller has already
 // filtered the same-heap fast path and non-reference values.
 func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) error {
-	// Attribution tiling (internal/attr): the classification prefix —
-	// two heap lookups and up to two ancestry tests — is one
-	// AncestryQuery window; the down-pointer branch closes a
-	// RemsetPublish window over the publication, and the cross-pointer
-	// branch hands its window to pinEntangled, which tiles the gate and
-	// CAS the same way OnRead does.
-	at := leaf.AttrSink.Begin()
 	oh := m.heapOf(o)
 	xh := m.heapOf(x)
 	if oh == xh {
-		leaf.AttrSink.End(attr.AncestryQuery, at)
 		return nil
 	}
 	switch {
 	case m.Tree.IsAncestor(xh, oh):
 		// Up-pointer: always disentangled, nothing to record.
-		leaf.AttrSink.End(attr.AncestryQuery, at)
 		return nil
 	case m.Tree.IsAncestor(oh, xh):
-		at = leaf.AttrSink.Lap(attr.AncestryQuery, at)
 		// Down-pointer: remember it for collections of xh's suffix, and
 		// mark the holder so reads through it take the slow path. The
 		// candidate bit is set before the caller's store, so a reader
@@ -276,7 +262,6 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 			m.publishRemembered(oh, xh, o, i, x)
 		}
 		m.Stats.DownPointers.Add(1)
-		leaf.AttrSink.End(attr.RemsetPublish, at)
 		return nil
 	default:
 		// Cross-pointer: either o lives in a heap concurrent with the
@@ -295,8 +280,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		if u := m.Tree.UnpinDepth(leaf, xh); u < unpin {
 			unpin = u
 		}
-		at = leaf.AttrSink.Lap(attr.AncestryQuery, at)
-		m.pinEntangled(leaf, x, unpin, at)
+		m.pinEntangled(leaf, x, unpin)
 		if m.Mode == Detect {
 			return fmt.Errorf("write into concurrent object %v: %w", o, ErrEntangled)
 		}
@@ -343,16 +327,6 @@ func (m *Manager) publishRemembered(oh, xh *hierarchy.Heap, o mem.Ref, i int, x 
 func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (mem.Value, error) {
 	m.Stats.SlowReads.Add(1)
 	leaf.TraceRing.Emit(trace.EvSlowRead, int32(leaf.Depth()), uint64(o), 0)
-	// Attribution tiling (internal/attr): when this occurrence is
-	// sampled, consecutive Lap calls split the whole slow path into
-	// disjoint component windows — resolve+ancestry (AncestryQuery),
-	// gate acquire (GateEnter), pin CAS + pinned-set publication
-	// (PinCAS, with busy/forwarded outcomes as PinRetry), and release +
-	// tail bookkeeping (GateExit) — so the estimated components sum to
-	// the slow path's whole cost, not a sample of its parts. Each
-	// window includes the adjacent stats/trace bookkeeping it brackets;
-	// that bias is documented in DESIGN.md §10.
-	at := leaf.AttrSink.Begin()
 	for {
 		x := v.Ref()
 		xh := m.heapOf(x)
@@ -363,7 +337,6 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			// merge re-resolves on the next pass), so reload and retry.
 			cur := m.Space.Load(o, i)
 			if !cur.IsRef() {
-				leaf.AttrSink.End(attr.AncestryQuery, at)
 				return cur, nil
 			}
 			if cur == v {
@@ -374,7 +347,6 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 		}
 		if m.Tree.IsAncestor(xh, leaf) {
 			// Disentangled: the target is on our root-to-leaf path.
-			leaf.AttrSink.End(attr.AncestryQuery, at)
 			return v, nil
 		}
 		// Entangled read. The unpin depth (the LCA with the owner) also
@@ -382,7 +354,6 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 		// from the leaf's one-entry cache — ancestry is immutable, so
 		// repeated reads against the same concurrent heap skip the oracle.
 		unpin := m.Tree.UnpinDepth(leaf, xh)
-		at = leaf.AttrSink.Lap(attr.AncestryQuery, at)
 		if h := m.Space.Header(x); h.Valid() && h.Kind() != mem.KForward &&
 			!h.Busy() && h.Pinned() && h.Candidate() &&
 			h.UnpinDepth() <= unpin {
@@ -391,11 +362,9 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			// d requires a merge into a heap of depth ≤ d, and every such
 			// merge point is an ancestor of ours whose join waits for us.
 			// The object therefore cannot move or be reclaimed: no gate,
-			// no CAS, no publication needed. (Attribution: the header
-			// validation is the degenerate pin — it lands in PinCAS.)
+			// no CAS, no publication needed.
 			m.Stats.EntangledReads.Add(1)
 			leaf.TraceRing.Emit(trace.EvEntangledRead, int32(leaf.Depth()), uint64(x), uint64(unpin))
-			leaf.AttrSink.End(attr.PinCAS, at)
 			if m.Mode == Detect {
 				return v, fmt.Errorf("read of concurrent object %v: %w", x, ErrEntangled)
 			}
@@ -406,10 +375,8 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 		// retire it (so xh stays live and its objects stay put while we
 		// are inside).
 		xh.Gate.EnterReader()
-		at = leaf.AttrSink.Lap(attr.GateEnter, at)
 		if m.Space.HeapOf(x) != xh.ID {
 			xh.Gate.ExitReader()
-			at = leaf.AttrSink.Lap(attr.GateExit, at)
 			continue // ownership moved; re-resolve
 		}
 		cur := m.Space.Load(o, i)
@@ -418,10 +385,8 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			// before we entered the gate; use the current location.
 			xh.Gate.ExitReader()
 			if !cur.IsRef() {
-				leaf.AttrSink.End(attr.GateExit, at)
 				return cur, nil
 			}
-			at = leaf.AttrSink.Lap(attr.GateExit, at)
 			v = cur
 			continue
 		}
@@ -436,7 +401,6 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			} else {
 				runtime.Gosched()
 			}
-			at = leaf.AttrSink.Lap(attr.PinRetry, at)
 			continue
 		}
 		if st == mem.PinNew {
@@ -444,7 +408,6 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			xh.AddPinned(x)
 			leaf.TraceRing.Emit(trace.EvPin, int32(leaf.Depth()), uint64(x), uint64(unpin))
 		}
-		at = leaf.AttrSink.Lap(attr.PinCAS, at)
 		m.Stats.EntangledReads.Add(1)
 		leaf.TraceRing.Emit(trace.EvEntangledRead, int32(leaf.Depth()), uint64(x), uint64(unpin))
 		// Mark the acquired object so our reads *through* it also take
@@ -453,7 +416,6 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			m.Stats.Candidates.Add(1)
 		}
 		xh.Gate.ExitReader()
-		leaf.AttrSink.End(attr.GateExit, at)
 		if m.Mode == Detect {
 			return v, fmt.Errorf("read of concurrent object %v: %w", x, ErrEntangled)
 		}
@@ -465,9 +427,7 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 // path, retrying across heap merges. Lock-free: gate entry, ownership
 // check, one CAS. leaf (the writer's own heap) is only for event
 // attribution — its ring belongs to the strand running this barrier.
-// at is OnWrite's open attribution window (0 when not sampling); the
-// gate/CAS/exit segments are tiled the same way as OnRead's.
-func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at int64) {
+func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int) {
 	for {
 		xh := m.heapOf(x)
 		if xh == nil || xh.Dead() {
@@ -475,10 +435,8 @@ func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at in
 			continue // merge in flight; ownership re-resolves to the live heap
 		}
 		xh.Gate.EnterReader()
-		at = leaf.AttrSink.Lap(attr.GateEnter, at)
 		if m.Space.HeapOf(x) != xh.ID {
 			xh.Gate.ExitReader()
-			at = leaf.AttrSink.Lap(attr.GateExit, at)
 			continue
 		}
 		st, h := m.Space.PinHeader(x, unpin)
@@ -489,7 +447,6 @@ func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at in
 			} else {
 				runtime.Gosched()
 			}
-			at = leaf.AttrSink.Lap(attr.PinRetry, at)
 			continue
 		}
 		if st == mem.PinNew {
@@ -497,12 +454,10 @@ func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at in
 			xh.AddPinned(x)
 			leaf.TraceRing.Emit(trace.EvPin, int32(leaf.Depth()), uint64(x), uint64(unpin))
 		}
-		at = leaf.AttrSink.Lap(attr.PinCAS, at)
 		if m.Space.SetCandidate(x) {
 			m.Stats.Candidates.Add(1)
 		}
 		xh.Gate.ExitReader()
-		leaf.AttrSink.End(attr.GateExit, at)
 		return
 	}
 }

@@ -50,13 +50,6 @@ type CellResult struct {
 	StealLatCount  int   `json:"steal_lat_count,omitempty"`
 	StealLatMeanNS int64 `json:"steal_lat_mean_ns,omitempty"`
 	StealLatMaxNS  int64 `json:"steal_lat_max_ns,omitempty"`
-	// Cost attribution of one extra untimed attributed run (only with
-	// Cell.Attr): slug → estimated total ns / sample count, at the
-	// recorded sampling period.
-	AttrPeriod  int64            `json:"attr_period,omitempty"`
-	AttrWallNS  int64            `json:"attr_wall_ns,omitempty"`
-	AttrNS      map[string]int64 `json:"attr_ns,omitempty"`
-	AttrSamples map[string]int64 `json:"attr_samples,omitempty"`
 }
 
 // cellConfig maps a cell's knobs onto a runtime config.
@@ -179,29 +172,6 @@ func ExecuteCell(c Cell) (*CellResult, error) {
 		res.StealLatMaxNS = lat.maxNS
 	}
 
-	if c.Attr {
-		prof := mpl.NewAttrProfiler(cfg.Procs, 0)
-		attrCfg := cfg
-		attrCfg.Attr = prof
-		mpl.AttrEnable()
-		start := time.Now()
-		rt := mpl.New(attrCfg)
-		_, err := rt.Run(func(t *mpl.Task) mpl.Value { return mpl.Int(b.MPL(t, c.N)) })
-		wall := time.Since(start)
-		mpl.AttrDisable()
-		if err != nil {
-			return nil, fmt.Errorf("cell %s: attributed run: %w", c.ID, err)
-		}
-		snap := prof.Snapshot()
-		res.AttrPeriod = snap.Period
-		res.AttrWallNS = wall.Nanoseconds()
-		res.AttrNS = make(map[string]int64, len(snap.Components))
-		res.AttrSamples = make(map[string]int64, len(snap.Components))
-		for slug, cs := range snap.Components {
-			res.AttrNS[slug] = int64(cs.EstNS)
-			res.AttrSamples[slug] = int64(cs.Samples)
-		}
-	}
 	return res, nil
 }
 

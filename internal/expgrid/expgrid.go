@@ -193,10 +193,6 @@ type Cell struct {
 	// TracePath, when set, adds one extra untimed traced run and writes
 	// its Chrome export there, stamped with the cell-identity counters.
 	TracePath string `json:"trace_path,omitempty"`
-	// Attr, when set, adds one extra untimed run with the cost-attribution
-	// profiler installed; the per-component decomposition rides in the
-	// CellResult. The timed repeats never see the profiler.
-	Attr bool `json:"attr,omitempty"`
 }
 
 // GroupKey identifies the cell's sweep group: all cells differing only in

@@ -28,9 +28,6 @@ type Runner struct {
 	// TraceDir, when set, gives every cell a TracePath under it (one
 	// Chrome export per cell, stamped with the cell-identity counters).
 	TraceDir string
-	// Attr, when set, gives every cell one extra attributed run whose
-	// slow-path cost decomposition rides in the CellResult.
-	Attr bool
 	// Cores overrides the host core count for sweep expansion (0 = the
 	// current fingerprint's).
 	Cores int
@@ -99,7 +96,6 @@ func (r *Runner) Run() (*Report, error) {
 		if r.TraceDir != "" {
 			c.TracePath = filepath.Join(r.TraceDir, fmt.Sprintf("cell-%03d.trace.json", i))
 		}
-		c.Attr = c.Attr || r.Attr
 		start := time.Now()
 		res, err := r.runCell(c)
 		if err != nil {

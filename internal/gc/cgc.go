@@ -70,7 +70,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mplgo/internal/attr"
 	"mplgo/internal/chaos"
 	"mplgo/internal/hierarchy"
 	"mplgo/internal/mem"
@@ -153,13 +152,6 @@ type CGC struct {
 	// P; nil in untraced runtimes). Only the collector goroutine — the one
 	// running RunCycle — writes to it.
 	Ring *trace.Ring
-
-	// Attr is the collector's cost-attribution sink (nil when attribution
-	// is off); single-writer, owned by the RunCycle goroutine. The
-	// collector-side ShadeQueue windows — the SATB drains during mark —
-	// land here, complementing the mutator-side push windows recorded in
-	// entangle.ShadeOverwritten.
-	Attr *attr.Sink
 
 	phase atomic.Uint32
 	epoch atomic.Uint64
@@ -363,9 +355,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 	}
 	for {
 		drainGreys()
-		at := g.Attr.Begin()
 		g.shade.drain(func(r mem.Ref) { g.greys = append(g.greys, r) })
-		g.Attr.End(attr.ShadeQueue, at)
 		if len(g.greys) > 0 {
 			continue
 		}
@@ -382,9 +372,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 			h.Gate.WaitBeginCollect()
 			h.Gate.EndCollect()
 		}
-		at = g.Attr.Begin()
 		g.shade.drain(func(r mem.Ref) { g.greys = append(g.greys, r) })
-		g.Attr.End(attr.ShadeQueue, at)
 		if !hs.ScanTasks(epoch, grey) {
 			// A task appeared (or parked) since the last sweep of the
 			// registry; fold its roots in and keep going.
@@ -492,9 +480,6 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 	g.Ring.Emit(trace.EvCGCCycleEnd, 0, uint64(res.FreedWords), 0)
 	g.Ring.Emit(trace.EvCounter, 0, uint64(trace.CtrLiveWords), uint64(res.LiveWords))
 	g.Ring.Emit(trace.EvCounter, 0, uint64(trace.CtrRetainedChunks), uint64(g.RetainedTotal.Load()))
-	// Flush the collector's attribution totals onto its own ring: both
-	// are owned by this goroutine, so the single-writer rule holds.
-	g.Attr.EmitCounters(g.Ring, 0)
 	return res
 }
 

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mplgo/internal/attr"
 	"mplgo/internal/chaos"
 	"mplgo/internal/forkpath"
 	"mplgo/internal/mem"
@@ -192,13 +191,6 @@ type Heap struct {
 	// executed by exactly one strand at a time, and the strand performing
 	// a merge owns the parent heap it merges into.
 	TraceRing *trace.Ring
-
-	// AttrSink is the cost-attribution sink of the worker currently
-	// running this heap's strand (nil when attribution is off), set by
-	// the runtime next to TraceRing under the same single-writer
-	// contract: the strand executing a heap owns its sink, and a merge
-	// runs on the strand owning the parent.
-	AttrSink *attr.Sink
 
 	// Stats
 	Collections int   // local collections rooted at this heap
@@ -498,14 +490,10 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 	// (e.g. a corrupted header surfacing in the unpin loop), readers
 	// parked at the gates must still be released or the unwind would hang
 	// them forever.
-	// Attribution: the two gate-quiesce waits are one MergeWait window
-	// (the joining strand owns parent, hence parent's sink).
-	at := parent.AttrSink.Begin()
 	child.Gate.WaitBeginCollect()
 	defer child.Gate.EndCollect()
 	parent.Gate.WaitBeginCollect()
 	defer parent.Gate.EndCollect()
-	parent.AttrSink.End(attr.MergeWait, at)
 	child.DrainBuffers()
 
 	// The joining strand owns parent, so its ring is safe to write here.
@@ -525,10 +513,6 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 	// tasks have joined, so these are ordinary objects of the merged heap.
 	// Readers may already be pinning through the parent (the chunks above
 	// carry its ID now), so each unpin is a snapshot-CAS retry loop.
-	// Attribution: the whole sweep is one UnpinAtJoin window — per-object
-	// windows would undercount the loop's pointer chasing, which is most
-	// of its cost.
-	at = parent.AttrSink.Begin()
 	for _, r := range child.Pinned {
 		for {
 			h := space.Header(r)
@@ -550,7 +534,6 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 			// Lost a race against a concurrent re-pin; re-examine.
 		}
 	}
-	parent.AttrSink.End(attr.UnpinAtJoin, at)
 	child.Pinned = nil
 
 	parent.RootSets = append(parent.RootSets, child.RootSets...)

@@ -231,23 +231,13 @@ func (s *Space) PinHeader(r Ref, unpinDepth int) (PinStatus, Header) {
 		return PinBusy, Header(atomic.LoadUint64(&c.Data[r.Off()]))
 	}
 	p := &c.Data[r.Off()]
-	ps := s.PinStats // nil except in attributed runs
-	if ps != nil {
-		ps.Attempts.Add(1)
-	}
 	for {
 		old := atomic.LoadUint64(p)
 		h := Header(old)
 		if h.Kind() == KForward {
-			if ps != nil {
-				ps.Forwarded.Add(1)
-			}
 			return PinForwarded, h
 		}
 		if h.Busy() {
-			if ps != nil {
-				ps.Busy.Add(1)
-			}
 			return PinBusy, h
 		}
 		newDepth := unpinDepth
@@ -257,26 +247,14 @@ func (s *Space) PinHeader(r Ref, unpinDepth int) (PinStatus, Header) {
 		}
 		nw := old&^(uint64(0xFFFF)<<hdrUnpinSh) | hdrPinned | uint64(newDepth)<<hdrUnpinSh
 		if nw == old {
-			if ps != nil {
-				ps.Already.Add(1)
-			}
 			return PinAlready, h
 		}
 		if atomic.CompareAndSwapUint64(p, old, nw) {
 			if !wasPinned {
 				atomic.AddInt32(&c.PinCount, 1)
-				if ps != nil {
-					ps.New.Add(1)
-				}
 				return PinNew, Header(nw)
 			}
-			if ps != nil {
-				ps.DepthLowered.Add(1)
-			}
 			return PinDepthLowered, Header(nw)
-		}
-		if ps != nil {
-			ps.Retries.Add(1)
 		}
 	}
 }

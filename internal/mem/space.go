@@ -101,10 +101,10 @@ type Space struct {
 	// HeaderCAS point lives in PinHeader.
 	Chaos *chaos.Injector
 
-	// PinStats, when non-nil, counts pin-CAS outcomes in PinHeader
-	// (attributed runs only; see PinCASStats). Install before any task
-	// runs; nil costs the pin path one pointer test.
-	PinStats *PinCASStats
+	// Every allocation adds to totalAlloc, from every worker at once,
+	// while every chunk lookup reads dir. The padding keeps the counters
+	// off dir's cache line whatever the fields above add up to.
+	_ [64]byte
 
 	liveWords    atomic.Int64 // words in live (allocated-to-heap) chunks
 	maxLiveWords atomic.Int64 // high-water mark of liveWords

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mplgo/internal/attr"
 	"mplgo/internal/chaos"
 	"mplgo/internal/trace"
 )
@@ -55,10 +54,6 @@ type Worker struct {
 	// Ring is the worker's event ring (nil in untraced runtimes). Only
 	// this worker's goroutine writes to it.
 	Ring *trace.Ring
-
-	// Attr is the worker's cost-attribution sink (nil when attribution
-	// is off); same single-writer ownership as Ring.
-	Attr *attr.Sink
 }
 
 // Pool is a work-stealing thread pool of P workers.
@@ -196,21 +191,10 @@ func (w *Worker) stealLoop() {
 }
 
 // trySteal attempts to steal one item, scanning every other worker once
-// starting from a random victim. The scan itself lives in stealScan;
-// this wrapper attributes each full scan to attr.StealLoop (one
-// decrement and branch per scan when not sampling).
+// starting from a random victim. The self-skipping index mapping draws
+// from [0, P-1) and bumps indices at or past the worker's own, so no
+// retry loop is needed to avoid selecting ourselves.
 func (w *Worker) trySteal() *item {
-	at := w.Attr.Begin()
-	t := w.stealScan()
-	w.Attr.End(attr.StealLoop, at)
-	return t
-}
-
-// stealScan scans every other worker once starting from a random
-// victim. The self-skipping index mapping draws from [0, P-1) and bumps
-// indices at or past the worker's own, so no retry loop is needed to
-// avoid selecting ourselves.
-func (w *Worker) stealScan() *item {
 	ws := w.pool.workers
 	n := len(ws)
 	if n < 2 {

@@ -62,18 +62,6 @@ type BenchEntry struct {
 	RetainedSeries   []CounterPoint `json:"retained_chunks_series,omitempty"`
 	PinnedPeakSeries []CounterPoint `json:"pinned_peak_bytes_series,omitempty"`
 
-	// Cost-attribution decomposition from `mplgo-bench -exp attr`: the
-	// sampled estimate of where the T1−Tseq gap goes, per slow-path
-	// component (attr.Component slugs). From a separate attributed run,
-	// merged into the report by MergeAttrJSON — never gated, like every
-	// column other than Overhead; it exists so the trajectory shows
-	// *which* cost moved when the overhead ratio does.
-	AttrPeriod   int64            `json:"attr_period,omitempty"`
-	AttrGapNS    int64            `json:"attr_gap_ns,omitempty"`
-	AttrCoverage float64          `json:"attr_coverage,omitempty"` // Σ est_ns / gap
-	AttrNS       map[string]int64 `json:"attr_ns,omitempty"`       // slug → est total ns
-	AttrSamples  map[string]int64 `json:"attr_samples,omitempty"`  // slug → sample count
-
 	// Server-load latency columns, written by cmd/mplgo-load for the
 	// examples/server workload. These entries have no Tseq/T1 pair — they
 	// come from an open-loop wall-clock run, not the timed bench harness —

@@ -5,9 +5,7 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 
-	"mplgo/internal/attr"
 	"mplgo/internal/bench"
 	"mplgo/internal/trace"
 	"mplgo/mpl"
@@ -71,70 +69,19 @@ func tracedSeries(b bench.Benchmark, n int) (retained, pinnedPeak []CounterPoint
 		counterSeries(snap, trace.CtrPinnedPeakBytes)
 }
 
-// attrReps is how many times the attribution path measures each side,
-// keeping the fastest (the gap denominator is a wall-clock difference,
-// so the usual best-of-N noise discipline applies — a noise-inflated
-// attributed wall directly deflates the reported coverage). The runs
-// are untimed-experiment territory, so the only cost of a deep best-of
-// is a few extra seconds; on this box the minimum stops moving around
-// rep 12–15.
-const attrReps = 15
-
-// attrPeriod is the sampling period the attribution experiments use:
-// denser than attr.DefaultPeriod because these runs are untimed, so the
-// only cost of more samples is lower estimator variance (a short
-// benchmark at 1/1024 yields under a hundred samples — too few for a
-// stable decomposition).
-const attrPeriod = 128
-
-// attributeRun measures the sequential baseline and an attributed,
-// untraced P=1 run (both best of attrReps) and returns the snapshot of
-// the fastest attributed run — gap and samples must come from the same
-// run or the coverage ratio compares different executions. The
-// attributed run is taken at P=1 regardless of the trace's worker
-// count: the decomposition's denominator is the paper's T1−Tseq
-// overhead gap, which is defined at one processor.
-func attributeRun(b bench.Benchmark, n int) (snap *attr.Snapshot, attrWall, tseq time.Duration) {
-	_, tseq, _ = runGlobal(b, n)
-	for r := 1; r < attrReps; r++ {
-		if _, t, _ := runGlobal(b, n); t < tseq {
-			tseq = t
-		}
-	}
-	attr.Enable()
-	for r := 0; r < attrReps; r++ {
-		prof := attr.NewProfiler(1, attrPeriod)
-		_, wall, _ := runMPL(b, n, mpl.Config{Procs: 1, Attr: prof})
-		if r == 0 || wall < attrWall {
-			attrWall, snap = wall, prof.Snapshot()
-		}
-	}
-	attr.Disable()
-	return snap, attrWall, tseq
-}
-
 // TraceRun executes one benchmark with tracing enabled and writes the
 // Chrome trace_event export to tracePath (stdout if "-"). The run is not
 // timed — its point is the trace, which cmd/mplgo-trace summarizes and
-// Perfetto renders. A cost-attribution decomposition of the T1−Tseq gap
-// (from a separate untraced, attributed run — the traced run itself is
-// never attributed, so neither measurement perturbs the other) is
-// stamped into the export as attr_* counters for mplgo-trace -attr.
-// Returns the number of events captured.
+// Perfetto renders. Returns the number of events captured.
 func TraceRun(name string, sizes map[string]int, procs int, w io.Writer, tracePath string) (int, error) {
 	b, ok := bench.ByName(name)
 	if !ok {
 		return 0, fmt.Errorf("unknown benchmark %q", name)
 	}
 	n := size(b, sizes)
-	snap, attrWall, tseq := attributeRun(b, n)
-
 	tr := mpl.NewTracer(procs, 0)
 	mpl.TraceEnable()
 	_, wall, _ := runMPL(b, n, mpl.Config{Procs: procs, Tracer: tr})
-	// The pool has drained, so stamping ring 0 from here cannot race its
-	// former owner (the single-writer rule the rings live by).
-	attr.EmitSnapshot(snap, tr.Ring(0), attrWall.Nanoseconds(), tseq.Nanoseconds())
 	mpl.TraceDisable()
 
 	events := 0
@@ -154,14 +101,7 @@ func TraceRun(name string, sizes map[string]int, procs int, w io.Writer, tracePa
 	if err := mpl.WriteChrome(out, tr); err != nil {
 		return events, err
 	}
-	gap := attrWall - tseq
-	cov := 0.0
-	if gap > 0 {
-		cov = 100 * float64(snap.TotalEstNS()) / float64(gap)
-	}
 	fmt.Fprintf(w, "# trace: %s n=%d procs=%d wall=%s events=%d -> %s\n",
 		b.Name, n, procs, fmtD(wall), events, tracePath)
-	fmt.Fprintf(w, "# attr:  T1=%s Tseq=%s gap=%s, sampled est %s (%.0f%% coverage)\n",
-		fmtD(attrWall), fmtD(tseq), fmtD(gap), fmtD(time.Duration(snap.TotalEstNS())), cov)
 	return events, nil
 }

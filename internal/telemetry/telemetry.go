@@ -7,20 +7,16 @@
 //
 // The format of /metrics is the Prometheus text exposition format, written
 // by hand to keep the runtime dependency-free; /debug/heaptree serves the
-// hierarchy.DumpTree snapshot as JSON, or DOT with ?format=dot;
-// /debug/attr serves the live cost-attribution snapshot as JSON.
+// hierarchy.DumpTree snapshot as JSON, or DOT with ?format=dot.
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
 
-	"mplgo/internal/attr"
 	"mplgo/internal/core"
-	"mplgo/internal/mem"
 )
 
 // Source is an application-side metrics provider: a host package (the
@@ -102,28 +98,6 @@ func Metrics(rt *core.Runtime, srcs ...Source) http.Handler {
 	})
 }
 
-// Attr returns the /debug/attr handler: a live JSON snapshot of the
-// runtime's cost-attribution profiler (per-component samples, sampled
-// ns, estimated total ns, and log2-ns histograms) plus the pin-CAS
-// outcome counters. Reading it while the workload runs is safe — the
-// snapshot is the read side of the attr package's single-writer
-// discipline, all atomic loads. A runtime with no profiler installed
-// serves {"attr": null, ...}.
-func Attr(rt *core.Runtime) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = json.NewEncoder(w).Encode(struct {
-			Attr    *attr.Snapshot     `json:"attr"`
-			Enabled bool               `json:"enabled"`
-			PinCAS  mem.PinCASSnapshot `json:"pin_cas"`
-		}{
-			Attr:    rt.AttrProfiler().Snapshot(),
-			Enabled: attr.Enabled(),
-			PinCAS:  rt.PinCASStats(),
-		})
-	})
-}
-
 // HeapTree returns the /debug/heaptree handler: a point-in-time dump of
 // the live heap hierarchy, JSON by default, Graphviz with ?format=dot.
 func HeapTree(rt *core.Runtime) http.Handler {
@@ -140,17 +114,11 @@ func HeapTree(rt *core.Runtime) http.Handler {
 }
 
 // Register wires the telemetry handlers into mux under their conventional
-// paths.
-func Register(mux *http.ServeMux, rt *core.Runtime) {
-	RegisterSources(mux, rt)
-}
-
-// RegisterSources is Register with additional application metric sources
-// merged into the /metrics exposition (e.g. internal/serve's admission
-// counters next to the runtime's GC and entanglement counters).
-func RegisterSources(mux *http.ServeMux, rt *core.Runtime, srcs ...Source) {
+// paths. srcs are application metric sources merged into the /metrics
+// exposition (e.g. internal/serve's admission counters next to the
+// runtime's GC and entanglement counters).
+func Register(mux *http.ServeMux, rt *core.Runtime, srcs ...Source) {
 	mux.Handle("/metrics", Metrics(rt, srcs...))
-	mux.Handle("/debug/attr", Attr(rt))
 	mux.Handle("/debug/heaptree", HeapTree(rt))
 }
 

@@ -117,3 +117,38 @@ func TestHeapTreeEndpoint(t *testing.T) {
 		t.Fatalf("dot output:\n%s", dot)
 	}
 }
+
+// fixedSource is an application metric source with one constant gauge.
+type fixedSource struct{}
+
+func (fixedSource) AppendMetrics(emit func(name, help, typ string, val int64)) {
+	emit("mplgo_test_gauge", "A constant test gauge.", "gauge", 42)
+}
+
+// TestRegisterMountsSources mounts the handlers the way examples/server
+// does — Register with an application source — and checks that both
+// endpoints answer and that the source's metric is merged into /metrics.
+func TestRegisterMountsSources(t *testing.T) {
+	rt := runSmall(t)
+	mux := http.NewServeMux()
+	Register(mux, rt, fixedSource{})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	code, body, _ := get(t, srv, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status %d", code)
+	}
+	for _, want := range []string{
+		"# TYPE mplgo_test_gauge gauge",
+		"mplgo_test_gauge 42",
+		"mplgo_steals_total ",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
+	}
+	if code, _, _ := get(t, srv, "/debug/heaptree"); code != http.StatusOK {
+		t.Fatalf("/debug/heaptree status %d", code)
+	}
+}

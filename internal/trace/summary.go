@@ -72,54 +72,12 @@ type Summary struct {
 	GridCell uint64
 	GridSeed uint64
 	HasGrid  bool
-
-	// Attr is the cost-attribution decomposition extracted from attr_*
-	// counters, nil when the trace carried none.
-	Attr *AttrSummary
 }
 
 // WorkerStealLat is one worker's steal-to-first-event latency profile.
 type WorkerStealLat struct {
 	PhaseStats
 	Hist [PinLifetimeBuckets]int
-}
-
-// AttrSummary is the slow-path cost decomposition recovered from attr_*
-// counters. Attr counters are cumulative per emitting ring, so the
-// summarizer takes the per-ring maximum and sums across rings — correct
-// both for per-worker periodic flushes and for a single end-of-run
-// snapshot emitted onto one ring.
-type AttrSummary struct {
-	Period    uint64 // sampling period (attr_period)
-	RunWallNS uint64 // attributed-run wall clock, 0 if not recorded
-	SeqWallNS uint64 // sequential-baseline wall clock, 0 if not recorded
-	Rows      []AttrRow
-}
-
-// AttrRow is one component of the decomposition.
-type AttrRow struct {
-	Name    string // component slug ("pin_cas", ...)
-	Samples uint64
-	EstNS   uint64 // sampled ns × period
-}
-
-// TotalEstNS sums the estimated cost over all components.
-func (a *AttrSummary) TotalEstNS() uint64 {
-	var t uint64
-	for _, r := range a.Rows {
-		t += r.EstNS
-	}
-	return t
-}
-
-// GapNS returns the T1−Tseq gap the decomposition is measured against:
-// run wall minus sequential wall when both were recorded with the
-// snapshot, otherwise fallbackNS (callers pass the trace span).
-func (a *AttrSummary) GapNS(fallbackNS int64) int64 {
-	if a.RunWallNS > 0 && a.SeqWallNS > 0 && a.RunWallNS > a.SeqWallNS {
-		return int64(a.RunWallNS - a.SeqWallNS)
-	}
-	return fallbackNS
 }
 
 // PhaseStats aggregates matched begin/end spans of one phase kind.
@@ -187,9 +145,6 @@ func Summarize(r io.Reader) (*Summary, error) {
 		CounterMax:       make(map[Counter]uint64),
 		StealLatByWorker: make(map[int]*WorkerStealLat),
 	}
-	// Attr counters are cumulative per emitting ring: reduce to a total
-	// by max within a ring, sum across rings (see AttrSummary).
-	attrPerTID := make(map[int]map[Counter]uint64)
 	// Pending steal timestamps per worker, matched against the worker's
 	// next event.
 	stealAt := make(map[int]int64)
@@ -313,16 +268,6 @@ func Summarize(r io.Reader) (*Summary, error) {
 			if v > s.CounterMax[ctr] {
 				s.CounterMax[ctr] = v
 			}
-			if ctr >= CtrAttrFirst && ctr <= CtrAttrSeqWallNS {
-				m := attrPerTID[e.TID]
-				if m == nil {
-					m = make(map[Counter]uint64)
-					attrPerTID[e.TID] = m
-				}
-				if v > m[ctr] {
-					m[ctr] = v
-				}
-			}
 		}
 
 		switch e.Ph {
@@ -356,45 +301,7 @@ func Summarize(r io.Reader) (*Summary, error) {
 		s.GridCell = v
 		s.GridSeed = s.CounterMax[CtrGridSeed]
 	}
-	s.Attr = reduceAttr(attrPerTID)
 	return s, nil
-}
-
-// reduceAttr folds per-ring cumulative attr counters into one
-// decomposition: max within a ring (the counters only grow), sum across
-// rings. Returns nil when no attr counters appeared.
-func reduceAttr(perTID map[int]map[Counter]uint64) *AttrSummary {
-	if len(perTID) == 0 {
-		return nil
-	}
-	totals := make(map[Counter]uint64)
-	for _, m := range perTID {
-		for c, v := range m {
-			switch c {
-			case CtrAttrPeriod, CtrAttrRunWallNS, CtrAttrSeqWallNS:
-				if v > totals[c] {
-					totals[c] = v
-				}
-			default:
-				totals[c] += v
-			}
-		}
-	}
-	a := &AttrSummary{
-		Period:    totals[CtrAttrPeriod],
-		RunWallNS: totals[CtrAttrRunWallNS],
-		SeqWallNS: totals[CtrAttrSeqWallNS],
-	}
-	for c := CtrAttrFirst; c < CtrAttrPeriod; c += 2 {
-		ns, n := totals[c], totals[c+1]
-		if ns == 0 && n == 0 {
-			continue
-		}
-		slug := strings.TrimSuffix(strings.TrimPrefix(c.String(), "attr_"), "_ns")
-		a.Rows = append(a.Rows, AttrRow{Name: slug, Samples: n, EstNS: ns})
-	}
-	sort.Slice(a.Rows, func(i, j int) bool { return a.Rows[i].EstNS > a.Rows[j].EstNS })
-	return a
 }
 
 // Format renders the summary as the human-readable report mplgo-trace
@@ -459,13 +366,12 @@ func (s *Summary) Format(w io.Writer) {
 		}
 	}
 
-	// Generic counter maxima: attr_* and grid_* counters get their own
-	// labelled reporting above / via FormatAttr, so keep them out of the
-	// raw list.
+	// Generic counter maxima: grid_* counters get their own labelled
+	// line above, so keep them out of the raw list.
 	ctrs := make([]Counter, 0, len(s.CounterMax))
 	for c := range s.CounterMax {
 		name := c.String()
-		if strings.HasPrefix(name, "attr_") || strings.HasPrefix(name, "grid_") {
+		if strings.HasPrefix(name, "grid_") {
 			continue
 		}
 		ctrs = append(ctrs, c)
@@ -477,41 +383,4 @@ func (s *Summary) Format(w io.Writer) {
 			fmt.Fprintf(w, "  %-20s %d\n", c.String(), s.CounterMax[c])
 		}
 	}
-	if s.Attr != nil {
-		fmt.Fprintf(w, "attribution:      %d components sampled at 1/%d (use -attr for the breakdown)\n",
-			len(s.Attr.Rows), s.Attr.Period)
-	}
-}
-
-// FormatAttr renders the attribution report: component × {samples,
-// estimated total ns, share of the T1−Tseq gap}, plus a coverage line.
-// Returns false when the trace carried no attribution counters.
-func (s *Summary) FormatAttr(w io.Writer) bool {
-	a := s.Attr
-	if a == nil {
-		return false
-	}
-	gap := a.GapNS(int64(s.Span))
-	fmt.Fprintf(w, "cost attribution (sampling period 1/%d):\n", a.Period)
-	if a.RunWallNS > 0 && a.SeqWallNS > 0 {
-		fmt.Fprintf(w, "  run wall %v, seq wall %v, gap %v\n",
-			time.Duration(a.RunWallNS), time.Duration(a.SeqWallNS), time.Duration(gap))
-	} else {
-		fmt.Fprintf(w, "  no wall-clock snapshot in trace; gap falls back to span %v\n", s.Span)
-	}
-	fmt.Fprintf(w, "  %-16s %10s %14s %8s\n", "component", "samples", "est total", "% gap")
-	for _, r := range a.Rows {
-		pct := 0.0
-		if gap > 0 {
-			pct = 100 * float64(r.EstNS) / float64(gap)
-		}
-		fmt.Fprintf(w, "  %-16s %10d %14v %7.1f%%\n",
-			r.Name, r.Samples, time.Duration(r.EstNS), pct)
-	}
-	cov := 0.0
-	if gap > 0 {
-		cov = 100 * float64(a.TotalEstNS()) / float64(gap)
-	}
-	fmt.Fprintf(w, "  %-16s %10s %14v %7.1f%%\n", "total", "", time.Duration(a.TotalEstNS()), cov)
-	return true
 }

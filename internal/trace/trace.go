@@ -135,46 +135,8 @@ const (
 	// run is attributable to the exact grid cell that produced it.
 	CtrGridCell
 	CtrGridSeed
-	// Cost-attribution flush (internal/attr): per-component estimated
-	// total ns and raw sample count, two counters per component laid out
-	// in attr.Component order starting at CtrAttrFirst — attr computes
-	// the ids by offset (CtrAttrFirst + 2·component [+1 for the sample
-	// count]) and a test over there pins the alignment. CtrAttrPeriod
-	// carries the sampling period; CtrAttrRunWallNS/CtrAttrSeqWallNS
-	// carry the attributed run's wall time and the sequential baseline
-	// so the summarizer can express components as a share of the
-	// T1−Tseq gap without re-running anything.
-	CtrAttrPinCASNS
-	CtrAttrPinCASN
-	CtrAttrPinRetryNS
-	CtrAttrPinRetryN
-	CtrAttrGateEnterNS
-	CtrAttrGateEnterN
-	CtrAttrGateExitNS
-	CtrAttrGateExitN
-	CtrAttrRemsetPublishNS
-	CtrAttrRemsetPublishN
-	CtrAttrAncestryQueryNS
-	CtrAttrAncestryQueryN
-	CtrAttrUnpinAtJoinNS
-	CtrAttrUnpinAtJoinN
-	CtrAttrShadeQueueNS
-	CtrAttrShadeQueueN
-	CtrAttrBudgetPollNS
-	CtrAttrBudgetPollN
-	CtrAttrStealLoopNS
-	CtrAttrStealLoopN
-	CtrAttrMergeWaitNS
-	CtrAttrMergeWaitN
-	CtrAttrPeriod
-	CtrAttrRunWallNS
-	CtrAttrSeqWallNS
 	ctrCounters // sentinel
 )
-
-// CtrAttrFirst is the base of the attribution counter block (see the
-// comment above CtrAttrPinCASNS).
-const CtrAttrFirst = CtrAttrPinCASNS
 
 var counterNames = [ctrCounters]string{
 	CtrPinnedBytes:      "pinned_bytes",
@@ -191,32 +153,6 @@ var counterNames = [ctrCounters]string{
 	CtrTokensInUse:      "tokens_in_use",
 	CtrGridCell:         "grid_cell",
 	CtrGridSeed:         "grid_seed",
-
-	CtrAttrPinCASNS:        "attr_pin_cas_ns",
-	CtrAttrPinCASN:         "attr_pin_cas_n",
-	CtrAttrPinRetryNS:      "attr_pin_retry_ns",
-	CtrAttrPinRetryN:       "attr_pin_retry_n",
-	CtrAttrGateEnterNS:     "attr_gate_enter_ns",
-	CtrAttrGateEnterN:      "attr_gate_enter_n",
-	CtrAttrGateExitNS:      "attr_gate_exit_ns",
-	CtrAttrGateExitN:       "attr_gate_exit_n",
-	CtrAttrRemsetPublishNS: "attr_remset_publish_ns",
-	CtrAttrRemsetPublishN:  "attr_remset_publish_n",
-	CtrAttrAncestryQueryNS: "attr_ancestry_query_ns",
-	CtrAttrAncestryQueryN:  "attr_ancestry_query_n",
-	CtrAttrUnpinAtJoinNS:   "attr_unpin_at_join_ns",
-	CtrAttrUnpinAtJoinN:    "attr_unpin_at_join_n",
-	CtrAttrShadeQueueNS:    "attr_shade_queue_ns",
-	CtrAttrShadeQueueN:     "attr_shade_queue_n",
-	CtrAttrBudgetPollNS:    "attr_budget_poll_ns",
-	CtrAttrBudgetPollN:     "attr_budget_poll_n",
-	CtrAttrStealLoopNS:     "attr_steal_loop_ns",
-	CtrAttrStealLoopN:      "attr_steal_loop_n",
-	CtrAttrMergeWaitNS:     "attr_merge_wait_ns",
-	CtrAttrMergeWaitN:      "attr_merge_wait_n",
-	CtrAttrPeriod:          "attr_period",
-	CtrAttrRunWallNS:       "attr_run_wall_ns",
-	CtrAttrSeqWallNS:       "attr_seq_wall_ns",
 }
 
 func (c Counter) String() string {

@@ -198,10 +198,21 @@ func TestKindAndCounterNames(t *testing.T) {
 			t.Fatalf("KindFromName(%q) = %v, %v", name, got, ok)
 		}
 	}
+	// counterNames is a keyed array literal, so a forgotten entry compiles
+	// as "" and would still round-trip; check names directly.
+	seen := make(map[string]Counter, ctrCounters)
 	for c := Counter(0); c < ctrCounters; c++ {
-		got, ok := CounterFromName(c.String())
+		name := c.String()
+		if name == "" {
+			t.Fatalf("counter %d has no name", c)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("counters %d and %d share the name %q", prev, c, name)
+		}
+		seen[name] = c
+		got, ok := CounterFromName(name)
 		if !ok || got != c {
-			t.Fatalf("CounterFromName(%q) = %v, %v", c.String(), got, ok)
+			t.Fatalf("CounterFromName(%q) = %v, %v", name, got, ok)
 		}
 	}
 }

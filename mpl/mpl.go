@@ -35,7 +35,6 @@ import (
 	"io"
 	"time"
 
-	"mplgo/internal/attr"
 	"mplgo/internal/chaos"
 	"mplgo/internal/core"
 	"mplgo/internal/entangle"
@@ -169,33 +168,6 @@ func TraceDisable() { trace.Disable() }
 // WriteChrome exports a tracer's events as Chrome trace_event JSON,
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 func WriteChrome(w io.Writer, t *Tracer) error { return trace.WriteChrome(w, t) }
-
-// AttrProfiler is the sampled cost-attribution profiler (package attr):
-// it decomposes the runtime's T1−Tseq overhead gap into named slow-path
-// components (pin CAS, gate traffic, remset publication, ...). Install
-// one via Config.Attr, bracket the region of interest with
-// AttrEnable/AttrDisable, then read Profiler.Snapshot (or let the trace
-// experiment stamp it into a Chrome export for mplgo-trace -attr).
-type AttrProfiler = attr.Profiler
-
-// AttrSnapshot is the aggregate view of an AttrProfiler's sinks.
-type AttrSnapshot = attr.Snapshot
-
-// NewAttrProfiler creates a profiler with one sink per worker plus one
-// for the concurrent collector. procs must match Config.Procs; period
-// is the sampling period (1-in-period occurrences are timed; <= 0
-// selects the default, 1024).
-func NewAttrProfiler(procs int, period int64) *AttrProfiler {
-	return attr.NewProfiler(procs, period)
-}
-
-// AttrEnable turns the global attribution gate on (refcounted, like
-// TraceEnable). A runtime with no profiler installed records nothing
-// either way.
-func AttrEnable() { attr.Enable() }
-
-// AttrDisable undoes one AttrEnable.
-func AttrDisable() { attr.Disable() }
 
 // Speedup estimates the speedup of the runtime's recorded computation at
 // each processor count in ps, by replaying the trace on the deterministic
