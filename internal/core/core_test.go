@@ -161,6 +161,41 @@ func TestGCWithFrames(t *testing.T) {
 	}
 }
 
+// TestAllocAccountingExact: allocators publish to the space total per
+// chunk rather than per object, so mid-run the total lags; once Run has
+// returned every allocator has flushed (task finish, collection end), and
+// the total must be exactly the mutator's words plus the collections'
+// to-space copies.
+func TestAllocAccountingExact(t *testing.T) {
+	const leaves, perLeaf = 64, 300
+	rt := New(Config{Procs: 2, HeapBudgetWords: 256})
+	_, err := rt.Run(func(tk *Task) mem.Value {
+		tk.ParFor(0, leaves, 1, func(tk *Task, lo, hi int) {
+			for range hi - lo {
+				f := tk.NewFrame(1)
+				for i := 0; i < perLeaf; i++ {
+					head := tk.AllocTuple(mem.Int(int64(i)), f.Get(0)) // 3 words, kept
+					f.Set(0, head.Value())
+					tk.AllocRef(mem.Int(1)) // 2 words, garbage
+				}
+				f.Pop()
+			}
+		})
+		return mem.Nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collections, copied, _ := rt.GCStats()
+	if collections == 0 {
+		t.Fatal("expected collections with a 256-word budget")
+	}
+	if got, want := rt.Space().TotalAllocWords(), int64(leaves*perLeaf*5)+copied; got != want {
+		t.Fatalf("TotalAllocWords = %d, want %d mutator + %d copied = %d",
+			got, leaves*perLeaf*5, copied, want)
+	}
+}
+
 func TestEntanglementEndToEnd(t *testing.T) {
 	rt := New(Config{Procs: 1}) // deterministic: left runs before right
 	v, err := rt.Run(func(tk *Task) mem.Value {

@@ -77,8 +77,11 @@ type Config struct {
 	// performance; the default (false) creates heaps at every fork, which
 	// gives the paper's object-level semantics deterministically.
 	LazyHeaps bool
-	// HeapBudgetWords triggers a local collection when a task has
-	// allocated this many words since the last one. Default 1<<17.
+	// HeapBudgetWords is the floor of the local-collection trigger: a
+	// task collects once it has allocated this many words since its last
+	// collection, or as many words as survived that collection if more
+	// (gc.Trigger), so copy work stays proportional to allocation as the
+	// live heap grows. Default 1<<17.
 	HeapBudgetWords int64
 	// DisableGC turns off local collections (the heaps only grow).
 	DisableGC bool

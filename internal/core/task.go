@@ -51,7 +51,11 @@ type Task struct {
 	// recorded traces carry exactly the per-segment sums they always did.
 	workAcc int64
 
+	// sinceGC counts words allocated since the last local collection;
+	// one is due when it reaches gcAt, which collectNow sets from the
+	// words that survived (gc.Trigger).
 	sinceGC  int64
+	gcAt     int64
 	barriers bool
 
 	// scope is the task's request-scoped fault domain (nil for the vast
@@ -87,6 +91,7 @@ func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node) *T
 		heap:     h,
 		alloc:    mem.NewAllocator(r.space, h.ID),
 		node:     node,
+		gcAt:     r.cfg.HeapBudgetWords,
 		barriers: r.cfg.Mode != entangle.Unsafe,
 	}
 	if r.cgc != nil {
@@ -106,6 +111,7 @@ func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node) *T
 func (t *Task) finish() {
 	t.flushWork()
 	t.flushElision()
+	t.alloc.Flush()
 	t.syncChunks()
 	t.heap.RemoveRootSet(t)
 	if t.cgcOn {
@@ -181,14 +187,15 @@ func (t *Task) Runtime() *Runtime { return t.rt }
 func (t *Task) Depth() int { return t.heap.Depth() }
 
 // needGC reports whether the allocation slow path should collect: the
-// budget is spent, or the chaos layer forces a collection at this
-// allocation. Never after cancellation — the unwind must not move objects
-// out from under strands that skipped their pins.
+// task has allocated gcAt words since its last collection, or the chaos
+// layer forces a collection at this allocation. Never after cancellation
+// — the unwind must not move objects out from under strands that skipped
+// their pins.
 func (t *Task) needGC() bool {
 	if t.rt.cfg.DisableGC || t.rt.cancelled.Load() {
 		return false
 	}
-	if t.sinceGC >= t.rt.cfg.HeapBudgetWords {
+	if t.sinceGC >= t.gcAt {
 		return true
 	}
 	// Explicit nil check before the call: Should is nil-safe but too big to
@@ -210,9 +217,9 @@ func (t *Task) collectNow() bool {
 	t.syncChunks()
 	if t.heap.LiveChildren() != 0 || t.heap.PendingForks.Load() != 0 {
 		// An outstanding fork runs (or may run) in this heap and holds
-		// unscannable references into it; retry after more allocation
-		// rather than on every call.
-		t.sinceGC = t.rt.cfg.HeapBudgetWords / 2
+		// unscannable references into it; retry after half a budget more
+		// allocation rather than on every call.
+		t.deferGC()
 		return false
 	}
 	if t.cgcOn {
@@ -220,7 +227,7 @@ func (t *Task) collectNow() bool {
 		// is waiting on safepoint handshakes, and a mutator blocked here
 		// would never reach one.
 		if !t.rt.cgcExcl.TryRLock() {
-			t.sinceGC = t.rt.cfg.HeapBudgetWords / 2
+			t.deferGC()
 			return false
 		}
 		defer t.rt.cgcExcl.RUnlock()
@@ -245,6 +252,7 @@ func (t *Task) collectNow() bool {
 	t.alloc.Retarget(t.heap.ID)
 	t.Work(res.CopiedWords * costGCWord)
 	t.sinceGC = 0
+	t.gcAt = gc.Trigger(t.rt.cfg.HeapBudgetWords, res.CopiedWords)
 	if ch := t.rt.chaos; ch != nil && ch.Should(chaos.JoinCheck) {
 		// Collection-end audit (relaxed: owner-owned structures only).
 		if err := gc.CheckHeap(t.rt.space, t.heap, false); err != nil {
@@ -252,6 +260,12 @@ func (t *Task) collectNow() bool {
 		}
 	}
 	return true
+}
+
+// deferGC schedules the retry of a collection collectNow could not run
+// yet: after half a budget more allocation, however far gcAt has grown.
+func (t *Task) deferGC() {
+	t.sinceGC = t.gcAt - t.rt.cfg.HeapBudgetWords/2
 }
 
 // Par evaluates f and g in parallel and returns both results. Child heaps

@@ -45,6 +45,16 @@ type Result struct {
 	PinnedTraced   int64 // pinned objects traced in place
 }
 
+// Trigger returns how many words a heap may allocate after a collection
+// before the next one: the budget, or the words that survived that
+// collection if more. Go's GOGC=100 rule: a collection copies what
+// survived, so letting at least as much allocation pass between
+// collections keeps copy work at amortized O(1) per allocated word,
+// where a fixed budget makes it grow with the live heap (quadratic in
+// total for a growing one). Both copying collectors use it: core's local
+// collections per task and globalrt's semispace baseline.
+func Trigger(budget, survivors int64) int64 { return max(budget, survivors) }
+
 // Collector performs local collections for one runtime instance.
 type Collector struct {
 	Space *mem.Space
@@ -149,7 +159,9 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 				c.Space.Release(ch)
 			}
 		}
-		kept = append(kept, r.toAlloc[h.ID].Chunks...)
+		to := r.toAlloc[h.ID]
+		to.Flush()
+		kept = append(kept, to.Chunks...)
 		h.Chunks = kept
 		h.Collections++
 	}

@@ -15,6 +15,7 @@
 package globalrt
 
 import (
+	"mplgo/internal/gc"
 	"mplgo/internal/mem"
 	"mplgo/internal/sim"
 )
@@ -26,6 +27,7 @@ type Runtime struct {
 	slots   []mem.Value
 	budget  int64
 	sinceGC int64
+	gcAt    int64     // sinceGC at which to collect (gc.Trigger)
 	node    *sim.Node // recording segment, nil when off
 	trace   *sim.Node
 
@@ -49,7 +51,7 @@ func New(budgetWords int64) *Runtime {
 		budgetWords = 1 << 17
 	}
 	sp := mem.NewSpace()
-	return &Runtime{space: sp, al: mem.NewAllocator(sp, heapID), budget: budgetWords}
+	return &Runtime{space: sp, al: mem.NewAllocator(sp, heapID), budget: budgetWords, gcAt: budgetWords}
 }
 
 // NewRecording creates a runtime that records the fork–join DAG for the
@@ -64,8 +66,12 @@ func NewRecording(budgetWords int64) *Runtime {
 // Trace returns the recorded DAG, or nil.
 func (r *Runtime) Trace() *sim.Node { return r.trace }
 
-// Space exposes the underlying space (for residency statistics).
-func (r *Runtime) Space() *mem.Space { return r.space }
+// Space exposes the underlying space (for residency statistics). The
+// allocator publishes its count first, so TotalAllocWords is exact.
+func (r *Runtime) Space() *mem.Space {
+	r.al.Flush()
+	return r.space
+}
 
 // MaxLiveWords reports the space high-water mark.
 func (r *Runtime) MaxLiveWords() int64 { return r.space.MaxLiveWords() }
@@ -157,9 +163,10 @@ func (f Frame) Pop() {
 	f.r.slots = f.r.slots[:f.base]
 }
 
-// guardedGC collects if the budget is spent, keeping vs updated.
+// guardedGC collects when allocation since the last collection reaches
+// the trigger (the same rule as local collections), keeping vs updated.
 func (r *Runtime) guardedGC(vs []mem.Value) {
-	if r.sinceGC < r.budget {
+	if r.sinceGC < r.gcAt {
 		return
 	}
 	f := r.NewFrame(len(vs))
@@ -233,8 +240,11 @@ func (r *Runtime) collect() {
 	for _, c := range old {
 		r.space.Release(c)
 	}
+	r.al.Flush()
+	to.Flush()
 	r.al = to
 	r.sinceGC = 0
+	r.gcAt = gc.Trigger(r.budget, copied)
 	r.Collections++
 	r.CopiedWords += copied
 	r.GCWork += copied

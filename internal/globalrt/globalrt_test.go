@@ -58,6 +58,16 @@ func TestCollectionPreservesList(t *testing.T) {
 		t.Fatal("tail not nil")
 	}
 	f.Pop()
+	// The list grows to 9000 words against a 512-word budget: copy work
+	// stays linear in allocation only because the trigger follows the
+	// survivors (gc.Trigger); a fixed budget copies ~8.7 words per word.
+	mutator := int64(n * (3 + 9))
+	if r.CopiedWords >= 2*mutator {
+		t.Fatalf("copied %d words for %d allocated, want < 2x", r.CopiedWords, mutator)
+	}
+	if got := r.Space().TotalAllocWords(); got != mutator+r.CopiedWords {
+		t.Fatalf("TotalAllocWords = %d, want %d mutator + %d copied", got, mutator, r.CopiedWords)
+	}
 }
 
 func TestCollectionReclaims(t *testing.T) {

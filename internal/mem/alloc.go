@@ -16,6 +16,9 @@ type Allocator struct {
 	Chunks []*Chunk
 	// AllocWords counts words allocated through this allocator.
 	AllocWords int64
+	// published is the prefix of AllocWords already added to the space's
+	// total (see Flush).
+	published int64
 	// reuse lists chunks the concurrent sweep left with threaded free
 	// spans (gc/cgc.go). They already belong to the heap — they are not
 	// appended to Chunks — and new objects are carved out of their spans
@@ -56,6 +59,7 @@ func (a *Allocator) Alloc(k Kind, payloadWords int) Ref {
 		if r, ok := a.allocFromFree(k, payloadWords, total); ok {
 			return r
 		}
+		a.Flush()
 		c = a.space.NewChunk(a.heap, total)
 		a.cur = c
 		a.Chunks = append(a.Chunks, c)
@@ -64,8 +68,21 @@ func (a *Allocator) Alloc(k Kind, payloadWords int) Ref {
 	c.Alloc += total
 	c.Data[off] = MakeHeader(k, payloadWords)
 	a.AllocWords += int64(total)
-	a.space.totalAlloc.Add(int64(total))
 	return MakeRef(c.ID, off)
+}
+
+// Flush publishes the words allocated since the last flush to the space's
+// total (Space.TotalAllocWords). Allocation itself only bumps the
+// owner-local AllocWords: the shared counter is written once per chunk
+// taken, not once per object, so independent allocators never contend on
+// it. Owners flush at the end of their allocation lifetime (task finish,
+// collection end), which makes the total exact once they have all
+// finished; mid-run it lags by under about a chunk per live allocator.
+func (a *Allocator) Flush() {
+	if d := a.AllocWords - a.published; d != 0 {
+		a.space.totalAlloc.Add(d)
+		a.published = a.AllocWords
+	}
 }
 
 // AddReusable hands the allocator a chunk whose free list was threaded by
@@ -156,7 +173,11 @@ func (a *Allocator) allocFromFree(k Kind, payloadWords, total int) (Ref, bool) {
 			}
 			atomic.StoreUint64(&c.Data[off], MakeHeader(k, payloadWords))
 			a.AllocWords += int64(total)
-			a.space.totalAlloc.Add(int64(total))
+			if a.AllocWords-a.published >= ChunkWords {
+				// Carving free spans takes no new chunk, so bound the lag
+				// here instead.
+				a.Flush()
+			}
 			if c.freeHead == 0 {
 				a.reuse[ci] = a.reuse[len(a.reuse)-1]
 				a.reuse = a.reuse[:len(a.reuse)-1]

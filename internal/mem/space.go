@@ -101,9 +101,11 @@ type Space struct {
 	// HeaderCAS point lives in PinHeader.
 	Chaos *chaos.Injector
 
-	// Every allocation adds to totalAlloc, from every worker at once,
-	// while every chunk lookup reads dir. The padding keeps the counters
-	// off dir's cache line whatever the fields above add up to.
+	// Every chunk lookup reads dir, while chunk acquisition and release
+	// write the counters below from every worker at once (totalAlloc once
+	// per chunk an allocator takes, see Allocator.Flush). The padding
+	// keeps the counters off dir's cache line whatever the fields above
+	// add up to.
 	_ [64]byte
 
 	liveWords    atomic.Int64 // words in live (allocated-to-heap) chunks
@@ -282,6 +284,9 @@ func (s *Space) LiveWords() int64 { return s.liveWords.Load() }
 func (s *Space) MaxLiveWords() int64 { return s.maxLiveWords.Load() }
 
 // TotalAllocWords returns the cumulative words handed out by allocators.
+// Allocators publish per chunk (Allocator.Flush), so the total is exact
+// once every allocator has flushed and lags by under about a chunk per
+// live allocator before that.
 func (s *Space) TotalAllocWords() int64 { return s.totalAlloc.Load() }
 
 // ResetMaxLive resets the residency high-water mark to current residency.

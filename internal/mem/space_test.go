@@ -289,8 +289,26 @@ func TestAllocWordsAccounting(t *testing.T) {
 	if a.AllocWords != 5 {
 		t.Fatalf("AllocWords = %d, want 5", a.AllocWords)
 	}
+	// The space total is published per chunk, not per object: nothing
+	// before the owner flushes, exact after, and a second flush adds
+	// nothing.
+	if got := s.TotalAllocWords(); got != 0 {
+		t.Fatalf("TotalAllocWords = %d before any flush, want 0", got)
+	}
+	a.Flush()
+	a.Flush()
 	if s.TotalAllocWords() != 5 {
 		t.Fatalf("TotalAllocWords = %d, want 5", s.TotalAllocWords())
+	}
+	// Taking a new chunk publishes what the allocator carved before it.
+	a.AllocRef(Nil)               // header + 1, unpublished
+	a.AllocArray(ChunkWords, Nil) // does not fit: new chunk
+	if got := s.TotalAllocWords(); got != 7 {
+		t.Fatalf("TotalAllocWords = %d after a new chunk, want 7", got)
+	}
+	a.Flush()
+	if got, want := s.TotalAllocWords(), int64(7+ChunkWords+1); got != want {
+		t.Fatalf("TotalAllocWords = %d, want %d", got, want)
 	}
 }
 

@@ -35,11 +35,7 @@ var diffCorpus = []struct {
 		(fill 0; sum 0)
 		end end end`, true},
 	{"parfib", parFibSrc, true},
-	{"gcpressure", `
-		let fun loop n =
-		  if n = 0 then 0
-		  else let val p = (n, n * 2, (n, n)) in #1 (#3 p) - n + loop (n - 1) end
-		in loop 3000 end`, true},
+	{"gcpressure", gcPressureSrc(3000), true},
 	{"tabreduce", `reduce (tabulate (5000, fn i => i * i), 0, fn a => fn b => a + b)`, true},
 	// A clean boxed region: refs allocated at the root scope, stored and
 	// read in the same scope — the region-local read rule, not the

@@ -1,6 +1,7 @@
 package mlang
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -211,15 +212,21 @@ func TestEntangledProgram(t *testing.T) {
 	}
 }
 
-func TestGCPressure(t *testing.T) {
-	// Build and discard tuples in a loop under a small budget: the VM's
-	// frames must keep everything precise across collections.
-	src := `
+// gcPressureSrc builds and discards tuples in a non-tail-recursive loop
+// of depth n, so each level's frame keeps its tuple live until the
+// recursion unwinds: the live heap grows linearly with n.
+func gcPressureSrc(n int) string {
+	return fmt.Sprintf(`
 	let fun loop n =
 	  if n = 0 then 0
 	  else let val p = (n, n * 2, (n, n)) in #1 (#3 p) - n + loop (n - 1) end
-	in loop 3000 end`
-	res, err := Run(src, mpl.Config{Procs: 1, HeapBudgetWords: 1024})
+	in loop %d end`, n)
+}
+
+func TestGCPressure(t *testing.T) {
+	// Build and discard tuples in a loop under a small budget: the VM's
+	// frames must keep everything precise across collections.
+	res, err := Run(gcPressureSrc(3000), mpl.Config{Procs: 1, HeapBudgetWords: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +235,33 @@ func TestGCPressure(t *testing.T) {
 	}
 	if c, _, _ := res.Runtime.GCStats(); c == 0 {
 		t.Fatal("expected collections")
+	}
+}
+
+// TestGCCopyLinear: local collections must keep copy work proportional
+// to allocation as the live heap grows. gcPressure's live heap grows with
+// n, so a trigger that ignores survivors recopies it every budget and the
+// copied/allocated ratio doubles with n (quadratic total copying); the
+// survivor-proportional trigger holds it near a constant.
+func TestGCCopyLinear(t *testing.T) {
+	prev := 0.0
+	for _, n := range []int{750, 1500, 3000, 6000} {
+		res, err := Run(gcPressureSrc(n), mpl.Config{Procs: 1, HeapBudgetWords: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, copied, _ := res.Runtime.GCStats()
+		mutator := res.Runtime.Space().TotalAllocWords() - copied
+		ratio := float64(copied) / float64(mutator)
+		t.Logf("n=%d: copied %d of %d mutator words (%.2f)", n, copied, mutator, ratio)
+		if ratio >= 2 {
+			t.Errorf("n=%d: %.2f words copied per mutator word, want < 2", n, ratio)
+		}
+		if prev > 0 && ratio > 1.25*prev {
+			t.Errorf("n=%d: copy ratio grew %.2fx over n/2 (%.2f -> %.2f), want <= 1.25x",
+				n, ratio/prev, prev, ratio)
+		}
+		prev = ratio
 	}
 }
 

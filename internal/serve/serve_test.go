@@ -313,10 +313,50 @@ func TestServeFootprintFlatAcrossBursts(t *testing.T) {
 		}
 		wg.Wait()
 	}
+	// settle returns once a concurrent cycle that began after the wave's
+	// last batch joined has finished. Submit returns when a request
+	// resolves, before its batch's join merges the leaves' garbage into the
+	// root heap, so a sample taken right after a wave can catch that
+	// garbage unswept. Submitted alone, settle runs inline on the
+	// dispatcher's task: its fork parks the root heap (making it claimable)
+	// and its branches pass a write-barrier safepoint per poll, so each
+	// cycle's handshake completes. The target is two cycles on: one
+	// already in flight when settle starts completes first.
+	settle := func(tk *core.Task) mem.Value {
+		cycles := func() int64 { c, _, _, _, _ := tk.Runtime().CGCStats(); return c }
+		target := cycles() + 2
+		f := tk.NewFrame(1)
+		defer f.Pop()
+		f.Set(0, tk.AllocRef(mem.Int(0)).Value())
+		giveUp := time.Now().Add(10 * time.Second)
+		wait := func(ct *core.Task) mem.Value {
+			for cycles() < target {
+				if time.Now().After(giveUp) {
+					return mem.Int(0)
+				}
+				ct.Write(f.Ref(0), 0, mem.Int(1))
+				time.Sleep(50 * time.Microsecond)
+			}
+			return mem.Int(1)
+		}
+		a, b := tk.Par(wait, wait)
+		return mem.Int(a.AsInt() & b.AsInt())
+	}
 	const waves = 5
 	live := make([]int64, waves)
 	for w := 0; w < waves; w++ {
 		wave()
+		for {
+			v, err := srv.Submit(settle)
+			if errors.Is(err, core.ErrShed) {
+				time.Sleep(200 * time.Microsecond)
+				continue
+			}
+			if err != nil || v.AsInt() != 1 {
+				t.Fatalf("wave %d: no concurrent cycle finished after the wave (%v)", w, err)
+			}
+			break
+		}
 		live[w] = srv.rt.Space().LiveWords()
 	}
 	if err := stop(); err != nil {

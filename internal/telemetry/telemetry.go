@@ -49,7 +49,7 @@ func collect(rt *core.Runtime) []metric {
 		{"mplgo_steals_total", "Work-stealing deque steals", "counter", rt.Steals()},
 		{"mplgo_live_words", "Words in live chunks", "gauge", sp.LiveWords()},
 		{"mplgo_max_live_words", "High-water mark of live words", "gauge", sp.MaxLiveWords()},
-		{"mplgo_total_alloc_words", "Cumulative words handed to allocators", "counter", sp.TotalAllocWords()},
+		{"mplgo_total_alloc_words", "Cumulative words handed to allocators; published per chunk, so it lags by up to one chunk per live allocator", "counter", sp.TotalAllocWords()},
 		{"mplgo_gc_collections_total", "Local (LGC) collections", "counter", collections},
 		{"mplgo_gc_copied_words_total", "Words copied by local collections", "counter", copied},
 		{"mplgo_gc_reclaimed_words_total", "Words reclaimed by local collections", "counter", reclaimed},
